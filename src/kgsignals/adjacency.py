@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .neighborhood import _pair_weights, khop_entities
+from .neighborhood import khop_entities
 
 
 class SkipExample(Exception):
@@ -51,22 +51,8 @@ def relationless_adjacency(g: KnowledgeGraph, entities: list[int]) -> AdjacencyM
         raise ValueError("duplicate entities in adjacency entity list")
     for e in entities:
         g._check_entity(e)
-    pos = {e: i for i, e in enumerate(entities)}
-    n = len(entities)
-    values = np.zeros((n, n), dtype=np.int64)
-    seen: set[int] = set()
-    for e in entities:
-        for fi in g.facts_of_entity(e):
-            if fi in seen:
-                continue
-            seen.add(fi)
-            for (a, b), w in _pair_weights(g.facts[fi]).items():
-                ia, ib = pos.get(a), pos.get(b)
-                if ia is None or ib is None:
-                    continue
-                values[ia, ib] += w
-                if ia != ib:
-                    values[ib, ia] += w
+    idx = np.asarray(entities, dtype=np.int64)
+    values = g.cooccurrence_counts()[idx][:, idx].toarray()
     return AdjacencyMatrix(entities=tuple(entities), values=values)
 
 

@@ -143,7 +143,11 @@ def _read_tuples(path: Path) -> list[Fact]:
             parts = line.split("\t")
             if len(parts) < 3:
                 raise ParseError(f"{path}:{ln}: expected relation + >=2 entity ids")
-            facts.append(Fact(relation=int(parts[0]), entities=tuple(int(x) for x in parts[1:])))
+            try:
+                ids = [int(x) for x in parts]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{ln}: {exc}") from exc
+            facts.append(Fact(relation=ids[0], entities=tuple(ids[1:])))
     return facts
 
 
@@ -186,7 +190,10 @@ def _load_config(args) -> GenerationConfig:
             values[f.name] = file_cfg[f.name]
     if "seed" not in values:
         raise UsageError("generation requires --seed (or seed in the config file)")
-    return GenerationConfig(**values)
+    try:
+        return GenerationConfig(**values)
+    except ValueError as exc:
+        raise UsageError(f"bad configuration: {exc}") from exc
 
 
 def _corpus_header(cfg: GenerationConfig, vocab: Vocabulary, alpha: dict | None) -> dict:
@@ -206,6 +213,8 @@ def _corpus_header(cfg: GenerationConfig, vocab: Vocabulary, alpha: dict | None)
 
 
 def cmd_generate(args) -> int:
+    if args.workers < 0:
+        raise UsageError(f"--workers must be >= 0, got {args.workers}")
     cfg = _load_config(args)
     data = Path(args.data)
     vocab = Vocabulary.load(data / "vocab.tsv")

@@ -17,7 +17,8 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
+from functools import partial
 from pathlib import Path
 
 from .adjacency import SkipExample, flatten_adjacency, make_iva_example
@@ -52,6 +53,26 @@ class GenerationConfig:
     value_ceiling: int = 64
     occurrence_weighted: bool = True
     lcc_weighted: bool = False
+
+    def __post_init__(self) -> None:
+        """Reject wrong types and out-of-range values with ValueError."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "bool":
+                ok = isinstance(v, bool)
+            elif f.type == "float":
+                ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+            else:
+                ok = isinstance(v, int) and not isinstance(v, bool)
+            if not ok:
+                raise ValueError(f"{f.name} must be {f.type}, got {v!r}")
+        for name in ("hops", "max_hops", "beam_k", "sp_cap", "iva_cap", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.corruption_rate <= 1:
+            raise ValueError(f"corruption_rate must be in [0, 1], got {self.corruption_rate}")
+        if self.value_ceiling < 0:
+            raise ValueError(f"value_ceiling must be >= 0, got {self.value_ceiling}")
 
     def path_config(self) -> PathSearchConfig:
         return PathSearchConfig(beam_k=self.beam_k, max_hops=self.max_hops, sp_cap=self.sp_cap)
@@ -219,7 +240,22 @@ def _khn_lcc_input(
     return _clip(tokens, cfg)
 
 
-def _gen_khn_chunk(state: dict, centers: list[int]) -> GenerationResult:
+def _khn_target(
+    vocab: Vocabulary, cfg: GenerationConfig, index: NeighborhoodIndex, e: int, h: int
+) -> tuple[str, object]:
+    ents, probs = index.occurrence(e, h, weighted=cfg.occurrence_weighted)
+    return "dist", [(vocab.entity_token(int(t)), float(p)) for t, p in zip(ents, probs)]
+
+
+def _lcc_target(
+    vocab: Vocabulary, cfg: GenerationConfig, index: NeighborhoodIndex, e: int, h: int
+) -> tuple[str, object]:
+    return "scalar", float(index.clustering(e, h, weighted=cfg.lcc_weighted))
+
+
+def _gen_ball_chunk(task: str, target, state: dict, centers: list[int]) -> GenerationResult:
+    """One record per radius h = 1..hops of every center with a nonempty
+    ball; its input lists the ball of radius h - 1."""
     vocab, cfg, index = state["vocab"], state["cfg"], state["index"]
     records: list[TaskRecord] = []
     skipped = 0
@@ -229,51 +265,19 @@ def _gen_khn_chunk(state: dict, centers: list[int]) -> GenerationResult:
             continue
         prev_ball: list[int] = []
         for h in range(1, cfg.hops + 1):
-            ball = index.ball(e, h)
-            if ball.size == 0:
-                break
-            ents, probs = index.occurrence(e, h, weighted=cfg.occurrence_weighted)
-            tokens, clipped = _khn_lcc_input(vocab, cfg, "khn", e, prev_ball)
+            kind, value = target(vocab, cfg, index, e, h)
+            tokens, clipped = _khn_lcc_input(vocab, cfg, task, e, prev_ball)
             records.append(
                 TaskRecord(
-                    task="khn",
+                    task=task,
                     input_tokens=tokens,
-                    target_kind="dist",
-                    target=[(vocab.entity_token(int(t)), float(p)) for t, p in zip(ents, probs)],
+                    target_kind=kind,
+                    target=value,
                     provenance=f"c{e:08d}:h{h}",
                     flags=("clipped",) if clipped else (),
                 )
             )
-            prev_ball = [int(x) for x in ball]
-    return GenerationResult(records, skipped)
-
-
-def _gen_lcc_chunk(state: dict, centers: list[int]) -> GenerationResult:
-    vocab, cfg, index = state["vocab"], state["cfg"], state["index"]
-    records: list[TaskRecord] = []
-    skipped = 0
-    for e in centers:
-        if index.ball(e, 1).size == 0:
-            skipped += 1
-            continue
-        prev_ball: list[int] = []
-        for h in range(1, cfg.hops + 1):
-            ball = index.ball(e, h)
-            if ball.size == 0:
-                break
-            c = index.clustering(e, h, weighted=cfg.lcc_weighted)
-            tokens, clipped = _khn_lcc_input(vocab, cfg, "lcc", e, prev_ball)
-            records.append(
-                TaskRecord(
-                    task="lcc",
-                    input_tokens=tokens,
-                    target_kind="scalar",
-                    target=float(c),
-                    provenance=f"c{e:08d}:h{h}",
-                    flags=("clipped",) if clipped else (),
-                )
-            )
-            prev_ball = [int(x) for x in ball]
+            prev_ball = index.ball(e, h).tolist()
     return GenerationResult(records, skipped)
 
 
@@ -333,8 +337,8 @@ def _gen_iva_chunk(state: dict, items: list[tuple[int, bool]]) -> GenerationResu
 _CHUNK_FNS = {
     "sp": _gen_sp_chunk,
     "ip": _gen_ip_chunk,
-    "khn": _gen_khn_chunk,
-    "lcc": _gen_lcc_chunk,
+    "khn": partial(_gen_ball_chunk, "khn", _khn_target),
+    "lcc": partial(_gen_ball_chunk, "lcc", _lcc_target),
     "iva": _gen_iva_chunk,
 }
 
@@ -401,13 +405,13 @@ def generate_task_records(
                 for r in range(g.num_relations)
             }
         return _run_chunks(task, state, items, workers)
-    state["index"] = index if index is not None else NeighborhoodIndex(g, cfg.hops)
     if task == "iva":
-        eligible = [e for e in range(g.num_entities) if state["index"].ball(e, cfg.hops).size > 0]
+        eligible = [e for e in range(g.num_entities) if g.neighbors(e)]
         items = [(e, i % 2 == 1) for i, e in enumerate(eligible)]
         result = _run_chunks(task, state, items, workers)
         result.skipped += g.num_entities - len(eligible)
         return result
+    state["index"] = index if index is not None else NeighborhoodIndex(g, cfg.hops)
     centers = list(range(g.num_entities))
     return _run_chunks(task, state, centers, workers)
 

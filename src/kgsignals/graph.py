@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import scipy.sparse as sp
+
 
 class GraphError(Exception):
     """Base class for graph construction and lookup failures."""
@@ -32,6 +35,22 @@ class Fact:
     @property
     def arity(self) -> int:
         return len(self.entities)
+
+
+def _pair_weights(fact: Fact) -> dict[tuple[int, int], int]:
+    """Co-occurrence increments contributed by one fact.
+
+    Each unordered position pair adds 1 to the (a, b) cell; a pair of
+    positions holding the same entity adds 1 to its diagonal cell.
+    """
+    out: dict[tuple[int, int], int] = {}
+    ents = fact.entities
+    for i in range(len(ents)):
+        for j in range(i + 1, len(ents)):
+            a, b = ents[i], ents[j]
+            key = (a, b) if a <= b else (b, a)
+            out[key] = out.get(key, 0) + 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -59,9 +78,12 @@ class Query:
 class KnowledgeGraph:
     """Read-only incidence index; build via :func:`build_index`.
 
-    Safe for concurrent readers: all indexes are materialized at build
-    time and never mutated afterwards (incident-relation sets are cached
-    lazily but the computation is idempotent).
+    Holds the fact and relation incidence lists, built eagerly, and the
+    entity co-occurrence matrix (:meth:`cooccurrence_counts`), built from
+    the facts on first use. That matrix is the graph's only co-occurrence
+    structure: neighbours, path BFS, neighbourhood balls and IVA
+    matrices all read it. Lazily filled caches are idempotent, so
+    concurrent readers are safe.
     """
 
     def __init__(
@@ -83,8 +105,8 @@ class KnowledgeGraph:
         self._relations_of_entity = relations_of_entity
         self._fact_entity_sets = tuple(frozenset(f.entities) for f in facts)
         self._incident_cache: dict[int, frozenset[int]] = {}
-        self._neighbor_cache: dict[int, frozenset[int]] = {}
-        self._cooccurrence: tuple[dict[int, int], ...] | None = None
+        self._cooccurrence: sp.csr_matrix | None = None
+        self._cooccurrence_rows: tuple[list[int], list[int], list[int]] | None = None
 
     # -- id validation -------------------------------------------------
 
@@ -121,34 +143,48 @@ class KnowledgeGraph:
         return self._fact_entity_sets[fact_index]
 
     def neighbors(self, e: int) -> frozenset[int]:
-        """Entities co-occurring with ``e`` in any fact, excluding ``e``."""
+        """Entities co-occurring with ``e`` in any fact, excluding ``e``:
+        row ``e`` of :meth:`cooccurrence_counts` without its diagonal."""
         self._check_entity(e)
-        cached = self._neighbor_cache.get(e)
-        if cached is None:
-            out: set[int] = set()
-            for fi in self._facts_of_entity[e]:
-                out.update(self._fact_entity_sets[fi])
-            out.discard(e)
-            cached = frozenset(out)
-            self._neighbor_cache[e] = cached
-        return cached
+        m = self.cooccurrence_counts()
+        return frozenset(m.indices[m.indptr[e] : m.indptr[e + 1]].tolist()) - {e}
 
-    def cooccurrence_counts(self) -> tuple[dict[int, int], ...]:
-        """Per entity: how many facts contain both it and each neighbor.
+    def cooccurrence_counts(self) -> sp.csr_matrix:
+        """Symmetric entity-by-entity co-occurrence counts, as int64 CSR.
 
-        Built lazily on first use; lets traversals skip an edge that only
-        exists through one specific (excluded) fact.
+        Every fact adds 1 to cell (a, b) for each unordered pair of its
+        positions holding a and b, so ``r(a, b, a)`` adds 2 to (a, b) and
+        1 to the diagonal cell (a, a). Stored cells are positive and the
+        column indices of each row ascend. Built once, on first use.
         """
         if self._cooccurrence is None:
-            counts: list[dict[int, int]] = [{} for _ in range(self.num_entities)]
-            for es in self._fact_entity_sets:
-                for u in es:
-                    row = counts[u]
-                    for v in es:
-                        if v != u:
-                            row[v] = row.get(v, 0) + 1
-            self._cooccurrence = tuple(counts)
+            rows: list[int] = []
+            cols: list[int] = []
+            vals: list[int] = []
+            for f in self.facts:
+                for (a, b), w in _pair_weights(f).items():
+                    rows.append(a)
+                    cols.append(b)
+                    vals.append(w)
+                    if a != b:
+                        rows.append(b)
+                        cols.append(a)
+                        vals.append(w)
+            n = self.num_entities
+            # COO -> CSR sums repeated cells and sorts each row
+            self._cooccurrence = sp.csr_matrix(
+                (np.asarray(vals, dtype=np.int64), (rows, cols)), shape=(n, n)
+            )
         return self._cooccurrence
+
+    def cooccurrence_rows(self) -> tuple[list[int], list[int], list[int]]:
+        """``indptr``, ``indices`` and ``data`` of :meth:`cooccurrence_counts`
+        as Python lists, for per-entity walks that numpy calls would slow
+        down. Converted once, on first use."""
+        if self._cooccurrence_rows is None:
+            m = self.cooccurrence_counts()
+            self._cooccurrence_rows = (m.indptr.tolist(), m.indices.tolist(), m.data.tolist())
+        return self._cooccurrence_rows
 
     def incident_relations(self, r: int, exclude: frozenset[int] = frozenset()) -> frozenset[int]:
         """Relations r' != r with E(r') intersecting E(r), minus ``exclude``."""

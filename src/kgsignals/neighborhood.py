@@ -11,9 +11,13 @@ Degree semantics: occurrence defaults to multi-edge weighted degrees
 clustering defaults to simple deduplicated counts, which keeps the
 coefficient in [0, 1]. Both are switchable per call.
 
-Module-level functions are straightforward dictionary/BFS code;
-:class:`NeighborhoodIndex` gives identical answers through cached
-sparse matrices for bulk generation over every center.
+Everything reads the graph's co-occurrence CSR
+(:meth:`KnowledgeGraph.cooccurrence_counts`). Balls come from a frontier
+BFS per center: radius 1 is the center's row, and each further hop is
+one sparse mat-vec, so memory stays linear in the number of entities. :class:`NeighborhoodIndex` keeps the balls of
+the last center asked, for bulk generation that queries every radius
+of one center in turn; the module-level functions are thin wrappers
+over the same ball, degree and pair code.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Fact, KnowledgeGraph
+from .graph import KnowledgeGraph
 
 
 class EmptyNeighborhoodError(Exception):
@@ -43,70 +47,62 @@ class OccurrenceDistribution:
     probabilities: tuple[float, ...]
 
 
-def khop_entities(g: KnowledgeGraph, e: int, k: int) -> Neighborhood:
-    """All entities at hop distance 1..k from ``e``, ascending."""
+def _balls(w: sp.csr_matrix, e: int, hops: int) -> list[np.ndarray]:
+    """Balls of radius 1..hops around ``e``: ascending entity ids, center
+    excluded. Returned arrays are read-only."""
+    seen = np.zeros(w.shape[0], dtype=bool)
+    seen[w.indices[w.indptr[e] : w.indptr[e + 1]]] = True  # radius 1: row e
+    frontier = seen.copy()
+    frontier[e] = False
+    seen[e] = True
+    balls: list[np.ndarray] = []
+    for h in range(hops):
+        if h and frontier.any():
+            # stored cells are positive, so a nonzero product marks
+            # every entity co-occurring with some frontier entity
+            frontier = (w @ frontier) > 0
+            frontier &= ~seen
+            seen |= frontier
+        ball = np.flatnonzero(seen)
+        ball = ball[ball != e]
+        ball.flags.writeable = False
+        balls.append(ball)
+    return balls
+
+
+def _occurrence_probs(w: sp.csr_matrix, e: int, ents: np.ndarray, weighted: bool) -> np.ndarray:
+    """Degree of each ball entity within ball + center, normalized."""
+    members = np.sort(np.append(ents, e))
+    sub = w[ents][:, members]
+    if weighted:
+        degrees = np.asarray(sub.sum(axis=1)).ravel()
+    else:
+        # distinct neighbours: stored cells less the entity's own diagonal
+        degrees = np.diff(sub.indptr) - (w.diagonal()[ents] != 0)
+    return degrees / int(degrees.sum())
+
+
+def _clustering(w: sp.csr_matrix, e: int, ents: np.ndarray, weighted: bool) -> float:
+    """Connected ball pairs over C(d, 2); d is the ball size, or in
+    weighted mode the center's co-occurrence count into the ball."""
+    d = int(w[e, ents].sum()) if weighted else int(ents.size)
+    if d < 2:
+        return 0.0
+    sub = w[ents][:, ents]
+    pairs = (sub.nnz - np.count_nonzero(sub.diagonal())) // 2
+    return pairs / (d * (d - 1) / 2)
+
+
+def _ball(g: KnowledgeGraph, e: int, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     g._check_entity(e)
-    seen = {e}
-    frontier = [e]
-    for _ in range(k):
-        nxt: list[int] = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        if not nxt:
-            break
-        frontier = nxt
-    seen.discard(e)
-    return Neighborhood(center=e, hops=k, entities=tuple(sorted(seen)))
+    return _balls(g.cooccurrence_counts(), e, k)[-1]
 
 
-def _pair_weights(fact: Fact) -> dict[tuple[int, int], int]:
-    """Co-occurrence increments contributed by one fact.
-
-    Each unordered position pair adds 1 to the (a, b) cell; a pair of
-    positions holding the same entity adds 1 to its diagonal cell.
-    """
-    out: dict[tuple[int, int], int] = {}
-    ents = fact.entities
-    for i in range(len(ents)):
-        for j in range(i + 1, len(ents)):
-            a, b = ents[i], ents[j]
-            key = (a, b) if a <= b else (b, a)
-            out[key] = out.get(key, 0) + 1
-    return out
-
-
-def _subgraph_degrees(
-    g: KnowledgeGraph, members: frozenset[int], targets: list[int], weighted: bool
-) -> list[int]:
-    """Degree of each target entity within the induced subgraph."""
-    deg = {t: 0 for t in targets}
-    simple: dict[int, set[int]] = {t: set() for t in targets}
-    seen_facts: set[int] = set()
-    for t in targets:
-        for fi in g.facts_of_entity(t):
-            if fi in seen_facts:
-                continue
-            seen_facts.add(fi)
-            for (a, b), w in _pair_weights(g.facts[fi]).items():
-                if a in members and b in members:
-                    if weighted:
-                        if a in deg:
-                            deg[a] += w
-                        if b in deg and b != a:
-                            deg[b] += w
-                    else:
-                        if a in simple and b != a:
-                            simple[a].add(b)
-                        if b in simple and b != a:
-                            simple[b].add(a)
-    if weighted:
-        return [deg[t] for t in targets]
-    return [len(simple[t]) for t in targets]
+def khop_entities(g: KnowledgeGraph, e: int, k: int) -> Neighborhood:
+    """All entities at hop distance 1..k from ``e``, ascending."""
+    return Neighborhood(center=e, hops=k, entities=tuple(_ball(g, e, k).tolist()))
 
 
 def occurrence_distribution(
@@ -117,14 +113,11 @@ def occurrence_distribution(
     Degrees are taken within the neighborhood subgraph (members plus the
     center); probabilities sum to 1.
     """
-    nb = khop_entities(g, e, k)
-    if not nb.entities:
+    ents = _ball(g, e, k)
+    if ents.size == 0:
         raise EmptyNeighborhoodError(f"entity {e} has no {k}-hop neighborhood")
-    members = frozenset(nb.entities) | {e}
-    degrees = _subgraph_degrees(g, members, list(nb.entities), weighted)
-    total = sum(degrees)
-    probs = tuple(d / total for d in degrees)
-    return OccurrenceDistribution(entities=nb.entities, probabilities=probs)
+    probs = _occurrence_probs(g.cooccurrence_counts(), e, ents, weighted)
+    return OccurrenceDistribution(entities=tuple(ents.tolist()), probabilities=tuple(probs.tolist()))
 
 
 def local_clustering_coefficient(
@@ -137,102 +130,43 @@ def local_clustering_coefficient(
     adjacency row sum from the center into the ball, and may exceed 1
     with parallel edges.
     """
-    nb = khop_entities(g, e, k)
-    ents = nb.entities
-    if weighted:
-        d = 0
-        for fi in g.facts_of_entity(e):
-            for (a, b), w in _pair_weights(g.facts[fi]).items():
-                if a == e and b in ents:
-                    d += w
-                elif b == e and a in ents:
-                    d += w
-    else:
-        d = len(ents)
-    if d < 2:
-        return 0.0
-    member_set = frozenset(ents)
-    pairs = 0
-    counted: set[tuple[int, int]] = set()
-    for u in ents:
-        for v in g.neighbors(u):
-            if v in member_set and u < v and (u, v) not in counted:
-                counted.add((u, v))
-                pairs += 1
-    return pairs / (d * (d - 1) / 2)
-
-
-def _drop_diagonal(m: sp.spmatrix) -> sp.csr_matrix:
-    m = m.tocoo()
-    mask = m.row != m.col
-    return sp.csr_matrix((m.data[mask], (m.row[mask], m.col[mask])), shape=m.shape)
+    return _clustering(g.cooccurrence_counts(), e, _ball(g, e, k), weighted)
 
 
 class NeighborhoodIndex:
-    """Sparse-matrix fast path for bulk per-center generation.
+    """Per-center neighbourhood answers for bulk generation.
 
-    Precomputes the weighted co-occurrence matrix (diagonal carries
-    self-co-occurrence), the simple boolean adjacency and boolean
-    reachability matrices for radii 1..max_hops. Answers are integer
-    degree counts divided the same way as the pure functions, so results
-    are bit-identical.
+    Reads the graph's co-occurrence CSR (``weighted``; its diagonal
+    carries self-co-occurrence). The first question about a center runs
+    one BFS that yields its balls of radius 1..max_hops; they are kept
+    until a different center is asked about. Answers are bit-identical
+    to the module-level functions, which share this code.
     """
 
     def __init__(self, g: KnowledgeGraph, max_hops: int):
+        if max_hops < 1:
+            raise ValueError("max_hops must be >= 1")
         self.g = g
         self.max_hops = max_hops
-        n = g.num_entities
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[int] = []
-        for f in g.facts:
-            for (a, b), w in _pair_weights(f).items():
-                rows.append(a)
-                cols.append(b)
-                vals.append(w)
-                if a != b:
-                    rows.append(b)
-                    cols.append(a)
-                    vals.append(w)
-        self.weighted = sp.csr_matrix(
-            (np.asarray(vals, dtype=np.int64), (rows, cols)), shape=(n, n)
-        )
-        simple = _drop_diagonal(self.weighted)
-        simple.data[:] = 1
-        simple.sort_indices()
-        self.simple = simple
-        step = simple.astype(bool)
-        reach = [step.copy()]
-        for _ in range(max_hops - 1):
-            nxt = _drop_diagonal(reach[-1] + reach[-1] @ step)
-            reach.append(nxt)
-        for m in reach:
-            m.sort_indices()
-        self._reach = reach
+        self.weighted = g.cooccurrence_counts()
+        self._center = -1
+        self._balls: list[np.ndarray] = []
 
     def ball(self, e: int, k: int) -> np.ndarray:
-        """Entity ids within hop distance 1..k of ``e``, ascending."""
-        return self._reach[k - 1].indices[
-            self._reach[k - 1].indptr[e] : self._reach[k - 1].indptr[e + 1]
-        ].copy()
+        """Entity ids within hop distance 1..k of ``e``, ascending (read-only)."""
+        if not 1 <= k <= self.max_hops:
+            raise ValueError(f"k must be in [1, {self.max_hops}]")
+        if e != self._center:
+            self.g._check_entity(e)
+            self._balls = _balls(self.weighted, e, self.max_hops)
+            self._center = e
+        return self._balls[k - 1]
 
     def occurrence(self, e: int, k: int, weighted: bool = True) -> tuple[np.ndarray, np.ndarray]:
         ents = self.ball(e, k)
         if ents.size == 0:
             raise EmptyNeighborhoodError(f"entity {e} has no {k}-hop neighborhood")
-        members = np.sort(np.append(ents, e))
-        mat = self.weighted if weighted else self.simple
-        sub = mat[ents][:, members]
-        degrees = np.asarray(sub.sum(axis=1)).ravel()
-        return ents, degrees / int(degrees.sum())
+        return ents, _occurrence_probs(self.weighted, e, ents, weighted)
 
     def clustering(self, e: int, k: int, weighted: bool = False) -> float:
-        ents = self.ball(e, k)
-        if weighted:
-            d = int(self.weighted[e, ents].sum())
-        else:
-            d = int(ents.size)
-        if d < 2:
-            return 0.0
-        pairs = self.simple[ents][:, ents].nnz // 2
-        return pairs / (d * (d - 1) / 2)
+        return _clustering(self.weighted, e, self.ball(e, k), weighted)

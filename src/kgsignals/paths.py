@@ -230,30 +230,35 @@ def _bfs_levels(
     """BFS hop levels from ``src`` over entity co-occurrence; -1 means
     unreached.
 
-    Traverses the precomputed adjacency counts rather than fact lists;
-    an edge surviving only through the excluded fact is skipped. The
+    Traverses the co-occurrence counts rather than fact lists; an edge
+    surviving only through the excluded fact is skipped. That fact adds
+    m(u) * m(v) to cell (u, v), where m(x) counts the positions of x in
+    it, so the edge survives iff its count exceeds that product. The
     search returns the moment ``stop_at`` is discovered, so only levels
     strictly below its distance are guaranteed complete.
     """
-    adj = g.cooccurrence_counts()
-    excluded = (
-        g.fact_entity_set(exclude_fact) if exclude_fact is not None else None
-    )
+    indptr, indices, counts = g.cooccurrence_rows()
+    mult: dict[int, int] = {}
+    if exclude_fact is not None:
+        for x in g.facts[exclude_fact].entities:
+            mult[x] = mult.get(x, 0) + 1
     dist = [-1] * g.num_entities
     dist[src] = 0
     frontier = [src]
     for d in range(1, cutoff + 1):
         nxt: list[int] = []
         for u in frontier:
-            if excluded is not None and u in excluded:
-                for v, c in adj[u].items():
-                    if dist[v] < 0 and (c > 1 or v not in excluded):
+            mu = mult.get(u)
+            if mu:
+                for j in range(indptr[u], indptr[u + 1]):
+                    v = indices[j]
+                    if dist[v] < 0 and counts[j] > mu * mult.get(v, 0):
                         dist[v] = d
                         if v == stop_at:
                             return dist
                         nxt.append(v)
             else:
-                for v in adj[u]:
+                for v in indices[indptr[u] : indptr[u + 1]]:
                     if dist[v] < 0:
                         dist[v] = d
                         if v == stop_at:

@@ -234,21 +234,33 @@ def dense_adjacency(facts: list[Fact], n_ent: int) -> list[list[int]]:
     return a
 
 
-def occurrence_oracle(facts: list[Fact], n_ent: int, e: int, k: int) -> dict[int, float]:
+def occurrence_oracle(
+    facts: list[Fact], n_ent: int, e: int, k: int, weighted: bool = True
+) -> dict[int, float]:
+    """Weighted: dense-adjacency row sums over ball + center. Simple:
+    count of distinct other members the entity co-occurs with."""
     ball = sorted(bfs_ball(facts, e, k))
     members = set(ball) | {e}
     a = dense_adjacency(facts, n_ent)
     degrees = {}
     for t in ball:
-        degrees[t] = sum(a[t][x] for x in members)
+        if weighted:
+            degrees[t] = sum(a[t][x] for x in members)
+        else:
+            degrees[t] = sum(1 for x in members if x != t and a[t][x] > 0)
     total = sum(degrees.values())
     return {t: d / total for t, d in degrees.items()}
 
 
-def lcc_oracle(facts: list[Fact], e: int, k: int) -> float:
-    """Naive closed-pair counting over the k-hop ball."""
+def lcc_oracle(facts: list[Fact], e: int, k: int, weighted: bool = False) -> float:
+    """Naive closed-pair counting over the k-hop ball. Weighted mode
+    divides by C(d, 2) with d the number of position pairs joining the
+    center to a ball entity."""
     ball = sorted(bfs_ball(facts, e, k))
-    d = len(ball)
+    if weighted:
+        d = sum(f.entities.count(e) * f.entities.count(x) for f in facts for x in ball)
+    else:
+        d = len(ball)
     if d < 2:
         return 0.0
     closed = 0

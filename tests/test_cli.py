@@ -74,18 +74,38 @@ def test_same_seed_byte_identical(ingested, tmp_path):
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
 
 
-def test_usage_errors_exit_1(dataset, tmp_path):
+def test_usage_errors_exit_1(dataset, ingested, tmp_path, capsys):
     assert main(["nonsense"]) == 1
     assert main(["generate", "sp", "--data", str(tmp_path), "--out", str(tmp_path)]) == 1
     assert main(["ingest", "--train", str(dataset)]) == 1  # no --out, no env var
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hops": "3"}))
+    out = tmp_path / "bad_config_out"
+    for bad in (["--hops", "0"], ["--hops", "-1"], ["--iva-cap", "0"],
+                ["--config", str(cfg)], ["--workers", "-3"], ["--corruption-rate", "5"]):
+        capsys.readouterr()
+        argv = ["generate", "all", "--data", str(ingested), "--out", str(out), "--seed", "1"]
+        if "--workers" not in bad:
+            argv += ["--workers", "1"]
+        assert main(argv + bad) == 1, bad
+        assert capsys.readouterr().err.count("usage error") == 1, bad
+        assert list(out.glob("*.jsonl")) == [], bad
 
 
-def test_data_errors_exit_2(tmp_path):
+def test_data_errors_exit_2(ingested, tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("only_two\tfields\n")
     assert main(["ingest", "--train", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert main(["generate", "sp", "--data", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+    tuples = ingested / "train.tuples"
+    tuples.write_text("0\t0\t1\n0\tx\t2\n")
+    out = tmp_path / "non_integer_out"
+    capsys.readouterr()
+    assert main(["generate", "all", "--data", str(ingested), "--out", str(out),
+                 "--seed", "1", "--workers", "1"]) == 2
+    assert f"{tuples}:2:" in capsys.readouterr().err
+    assert list(out.glob("*.jsonl")) == []
 
 
 def test_corrupted_corpus_exit_3(ingested, tmp_path):

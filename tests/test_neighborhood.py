@@ -139,19 +139,33 @@ class TestLocalClusteringCoefficient:
 class TestNeighborhoodIndex:
     @pytest.mark.parametrize("seed", range(8))
     def test_identical_to_pure_functions(self, seed):
+        # the index is checked against the brute-force oracles in both
+        # degree modes, and the module-level wrappers against the index
         rng = random.Random(seed)
         facts, n_ent, n_rel = random_graph(rng, max_entities=30, max_relations=5, max_facts=50)
         g = build_index(facts, n_ent, n_rel)
         index = NeighborhoodIndex(g, 3)
         for e in range(n_ent):
             for k in (1, 2, 3):
-                pure = khop_entities(g, e, k).entities
-                assert tuple(int(x) for x in index.ball(e, k)) == pure
-                assert index.clustering(e, k) == local_clustering_coefficient(g, e, k)
-                try:
-                    dist = occurrence_distribution(g, e, k)
-                except EmptyNeighborhoodError:
-                    continue
-                ents, probs = index.occurrence(e, k)
-                assert tuple(int(x) for x in ents) == dist.entities
-                assert tuple(float(p) for p in probs) == dist.probabilities
+                ball = tuple(int(x) for x in index.ball(e, k))
+                assert ball == tuple(sorted(bfs_ball(facts, e, k)))
+                assert khop_entities(g, e, k).entities == ball
+                for weighted in (False, True):
+                    got = index.clustering(e, k, weighted=weighted)
+                    assert got == lcc_oracle(facts, e, k, weighted=weighted)
+                    assert local_clustering_coefficient(g, e, k, weighted=weighted) == got
+                    if not ball:
+                        with pytest.raises(EmptyNeighborhoodError):
+                            index.occurrence(e, k, weighted=weighted)
+                        continue
+                    ents, probs = index.occurrence(e, k, weighted=weighted)
+                    got = dict(zip((int(x) for x in ents), (float(p) for p in probs)))
+                    assert got == occurrence_oracle(facts, n_ent, e, k, weighted=weighted)
+                    dist = occurrence_distribution(g, e, k, weighted=weighted)
+                    assert dict(zip(dist.entities, dist.probabilities)) == got
+
+    def test_radius_bounds(self):
+        index = NeighborhoodIndex(chain3(), 2)
+        for k in (0, 3):
+            with pytest.raises(ValueError):
+                index.ball(0, k)

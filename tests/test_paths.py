@@ -226,6 +226,21 @@ class TestShortestRelationalPaths:
         assert shortest_relational_paths(g, 0, 1, CFG) == [(0,)]
         assert shortest_relational_paths(g, 0, 1, CFG, exclude_fact=0) == [(1, 2)]
 
+    @pytest.mark.parametrize(
+        "second, want",
+        [
+            (Fact(1, (0, 1)), [(1,)]),  # keeps the 0-1 edge
+            (Fact(1, (0, 2)), [(1, 2)]),  # does not: detour through 2
+        ],
+    )
+    def test_exclude_fact_repeating_an_entity(self, second, want):
+        # the excluded fact holds entity 0 twice, so it alone adds 2 to
+        # the 0-1 co-occurrence count
+        facts = [Fact(0, (0, 1, 0)), second, Fact(2, (2, 1))]
+        g = build_index(facts, 3, 3)
+        got = shortest_relational_paths(g, 0, 1, CFG, exclude_fact=0)
+        assert got == want == sp_oracle(facts, 0, 1, CFG.max_hops, CFG.sp_cap, 0)
+
     def test_sp_cap_truncation(self):
         # many parallel relations between the endpoints
         facts = [Fact(r, (0, 1)) for r in range(6)]
