@@ -4,6 +4,7 @@ graphs and knowledge hypergraphs."""
 from .graph import Fact, KnowledgeGraph, Query, build_index
 from .ingest import VocabBuilder, Vocabulary, parse_hypergraph, parse_triples
 from .paths import (
+    CandidateTrie,
     PathSearchConfig,
     conditional_entropy,
     ground_paths,

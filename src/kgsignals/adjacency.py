@@ -7,6 +7,11 @@ a simultaneous row+column permutation of itself; negatives corrupt it by
 a column-only swap (re-symmetrized from the corrupted upper triangle) or
 by resampling values, and are verified to not be permutation-equivalent
 for small matrices.
+
+Matrices are NumPy arrays throughout: the upper triangle is read in one
+``np.triu_indices`` gather (:func:`upper_triangle`), which both the
+flattened sequence and the value tokens are built from, and resampling
+draws each cell's replacement pool by array masking.
 """
 
 from __future__ import annotations
@@ -56,17 +61,18 @@ def relationless_adjacency(g: KnowledgeGraph, entities: list[int]) -> AdjacencyM
     return AdjacencyMatrix(entities=tuple(entities), values=values)
 
 
+def upper_triangle(values: np.ndarray) -> np.ndarray:
+    """Cells (i, j) with i <= j, row-major, diagonal included."""
+    return values[np.triu_indices(values.shape[0])]
+
+
 def flatten_adjacency(a: AdjacencyMatrix) -> list[object]:
     """Entity ids in column order, then the upper triangle row-major.
 
     The diagonal is included, so the length is n + n(n+1)/2 and the
     matrix is recoverable given n.
     """
-    n = len(a.entities)
-    seq: list[object] = list(a.entities)
-    for i in range(n):
-        seq.extend(int(v) for v in a.values[i, i:])
-    return seq
+    return list(a.entities) + upper_triangle(a.values).tolist()
 
 
 def unflatten_adjacency(seq: list[object], n: int) -> AdjacencyMatrix:
@@ -84,21 +90,28 @@ def unflatten_adjacency(seq: list[object], n: int) -> AdjacencyMatrix:
     return AdjacencyMatrix(entities=entities, values=values)
 
 
+def _row_signatures(m: np.ndarray) -> list[list[int]]:
+    """Each row's diagonal value followed by its sorted values, sorted.
+
+    A simultaneous row+column permutation only reorders these, so equal
+    signatures are necessary for permutation equivalence."""
+    return sorted(np.column_stack([np.diag(m), np.sort(m, axis=1)]).tolist())
+
+
 def permutation_equivalent(a: np.ndarray, b: np.ndarray) -> bool:
-    """Exhaustively test whether some simultaneous row+column permutation
-    of ``a`` equals ``b``. Only intended for small matrices."""
+    """Test whether some simultaneous row+column permutation of ``a``
+    equals ``b``.
+
+    Pairs whose row signatures differ are rejected at once; the rest are
+    searched exhaustively, so this is only intended for small matrices."""
     n = a.shape[0]
-    if b.shape != a.shape:
+    if b.shape != a.shape or _row_signatures(a) != _row_signatures(b):
         return False
     for perm in itertools.permutations(range(n)):
         p = list(perm)
         if np.array_equal(a[np.ix_(p, p)], b):
             return True
     return False
-
-
-def _upper_cells(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 def make_iva_example(
@@ -178,16 +191,24 @@ def make_iva_example(
 
 
 def _resample_values(values: np.ndarray, rng: random.Random, rate: float) -> np.ndarray:
-    n = values.shape[0]
-    cells = _upper_cells(n)
+    """Set ~``rate`` of the upper-triangle cells (at least one) to a
+    different value drawn uniformly from the observed upper-triangle
+    values (with multiplicity), mirroring each change below the diagonal.
+
+    A cell's pool is ``observed[observed != cur]``; a cell with no other
+    observed value becomes ``cur + 1``. The ``rng`` sees one ``sample``
+    of the cells and then one ``choice`` per cell with a nonempty pool.
+    """
+    rows, cols = np.triu_indices(values.shape[0])
+    cells = list(zip(rows.tolist(), cols.tolist()))
     count = max(1, math.ceil(rate * len(cells)))
     chosen = rng.sample(cells, min(count, len(cells)))
-    observed = [int(values[i, j]) for i, j in cells]
+    observed = values[rows, cols]
     out = values.copy()
     for i, j in chosen:
-        cur = int(out[i, j])
-        pool = [v for v in observed if v != cur]
-        new = rng.choice(pool) if pool else cur + 1
+        cur = out[i, j]
+        pool = observed[observed != cur]
+        new = rng.choice(pool) if pool.size else cur + 1
         out[i, j] = new
         out[j, i] = new
     return out

@@ -181,13 +181,19 @@ def _load_config(args) -> GenerationConfig:
             file_cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"{args.config}: {exc}") from exc
+    names = [f.name for f in fields(GenerationConfig)]
+    if not isinstance(file_cfg, dict):
+        raise UsageError(f"{args.config}: config must be a JSON object, got {type(file_cfg).__name__}")
+    unknown = sorted(set(file_cfg) - set(names))
+    if unknown:
+        raise UsageError(f"{args.config}: unknown config keys {unknown}; known keys are {names}")
     values: dict = {}
-    for f in fields(GenerationConfig):
-        flag = getattr(args, f.name, None)
+    for name in names:
+        flag = getattr(args, name, None)
         if flag is not None:
-            values[f.name] = flag
-        elif f.name in file_cfg:
-            values[f.name] = file_cfg[f.name]
+            values[name] = flag
+        elif name in file_cfg:
+            values[name] = file_cfg[name]
     if "seed" not in values:
         raise UsageError("generation requires --seed (or seed in the config file)")
     try:

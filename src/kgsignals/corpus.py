@@ -21,11 +21,19 @@ from dataclasses import dataclass, field, fields, asdict
 from functools import partial
 from pathlib import Path
 
-from .adjacency import SkipExample, flatten_adjacency, make_iva_example
+import numpy as np
+
+from .adjacency import SkipExample, make_iva_example, upper_triangle
 from .graph import KnowledgeGraph, Query
 from .ingest import TASK_TOKENS, Vocabulary
 from .neighborhood import NeighborhoodIndex
-from .paths import PathSearchConfig, information_gain_paths, ground_paths, shortest_relational_paths
+from .paths import (
+    CandidateTrie,
+    PathSearchConfig,
+    ground_paths,
+    information_gain_paths,
+    shortest_relational_paths,
+)
 
 FORMAT_NAME = "kgsignals-corpus"
 FORMAT_VERSION = 1
@@ -282,15 +290,13 @@ def _gen_ball_chunk(task: str, target, state: dict, centers: list[int]) -> Gener
 
 
 def _flatten_tokens(vocab: Vocabulary, cfg: GenerationConfig, matrix) -> tuple[list[int], bool]:
-    n = len(matrix.entities)
-    flat = flatten_adjacency(matrix)
-    tokens = [vocab.entity_token(int(e)) for e in flat[:n]]
-    clamped = False
-    for v in flat[n:]:
-        tok, cl = vocab.value_token(int(v), cfg.value_ceiling)
-        clamped = clamped or cl
-        tokens.append(tok)
-    return tokens, clamped
+    """Tokens of :func:`flatten_adjacency`: entity tokens, then one value
+    token per upper-triangle cell, clamped at ``value_ceiling``. Also
+    returns whether any cell was clamped."""
+    upper = upper_triangle(matrix.values)
+    tokens = [vocab.entity_token(int(e)) for e in matrix.entities]
+    tokens.extend((np.minimum(upper, cfg.value_ceiling) + vocab.value_base).tolist())
+    return tokens, bool((upper > cfg.value_ceiling).any())
 
 
 def _gen_iva_chunk(state: dict, items: list[tuple[int, bool]]) -> GenerationResult:
@@ -400,8 +406,9 @@ def generate_task_records(
         if task == "ip":
             pcfg = cfg.path_config()
             ip_cache: dict = {}
+            # one trie per relation, shared by every query of it
             state["ip_candidates"] = {
-                r: information_gain_paths(g, r, pcfg, ip_cache)
+                r: CandidateTrie(information_gain_paths(g, r, pcfg, ip_cache))
                 for r in range(g.num_relations)
             }
         return _run_chunks(task, state, items, workers)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .graph import KnowledgeGraph
 
@@ -150,11 +151,38 @@ def information_gain_paths(
     return sorted(paths)
 
 
+class CandidateTrie:
+    """Distinct candidate paths as a prefix trie.
+
+    A node is ``(is_candidate, children)`` with ``children`` a tuple of
+    ``(relation, node)`` pairs in ascending relation order, so a walk
+    needs no per-query sorting. Iterating the trie yields its distinct
+    paths in lexicographic order.
+    """
+
+    __slots__ = ("paths", "root")
+
+    def __init__(self, candidates) -> None:
+        self.paths: list[RelationalPath] = sorted(set(candidates))
+        self.root: tuple = _trie_node(self.paths, 0)
+
+    def __iter__(self):
+        return iter(self.paths)
+
+
+def _trie_node(paths: list[RelationalPath], depth: int) -> tuple:
+    """Node over sorted distinct ``paths`` that share their first ``depth``
+    relations; the one path of exactly that length, if any, comes first."""
+    is_candidate = bool(paths) and len(paths[0]) == depth
+    children = groupby(paths[is_candidate:], key=lambda p: p[depth])
+    return is_candidate, tuple((rel, _trie_node(list(group), depth + 1)) for rel, group in children)
+
+
 def ground_paths(
     g: KnowledgeGraph,
     e_i: int,
     e_j: int,
-    candidates: list[RelationalPath],
+    candidates: CandidateTrie | list[RelationalPath],
     exclude_fact: int | None = None,
 ) -> list[RelationalPath]:
     """Keep candidates for which a grounded walk from e_i to e_j exists.
@@ -166,31 +194,27 @@ def ground_paths(
 
     Walks a trie of the candidates depth-first, computing the frontier
     of each distinct prefix exactly once and pruning dead branches, so
-    cost is polynomial in graph size and the number of prefixes.
+    cost is polynomial in graph size and the number of prefixes. Corpus
+    generation builds one :class:`CandidateTrie` per relation and passes
+    it for every query; a plain list is turned into a trie here. Kept
+    paths come out in lexicographic order.
     """
     g._check_entity(e_i)
     g._check_entity(e_j)
-    # trie node: [is_candidate, {relation: child}]
-    root: list = [False, {}]
-    for p in set(candidates):
-        node = root
-        for rel in p:
-            node = node[1].setdefault(rel, [False, {}])
-        node[0] = True
+    trie = candidates if isinstance(candidates, CandidateTrie) else CandidateTrie(candidates)
     kept: list[RelationalPath] = []
 
-    def walk(prefix: RelationalPath, frontier: frozenset[int], node: list) -> None:
-        for rel in sorted(node[1]):
-            child = node[1][rel]
+    def walk(prefix: RelationalPath, frontier: frozenset[int], children: tuple) -> None:
+        for rel, (is_candidate, grandchildren) in children:
             front = _step_frontier(g, frontier, rel, exclude_fact)
             if not front:
                 continue
             p = prefix + (rel,)
-            if child[0] and e_j in front:
+            if is_candidate and e_j in front:
                 kept.append(p)
-            walk(p, front, child)
+            walk(p, front, grandchildren)
 
-    walk((), frozenset((e_i,)), root)
+    walk((), frozenset((e_i,)), trie.root[1])
     return kept
 
 

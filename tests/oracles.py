@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 from kgsignals.graph import Fact
 
@@ -172,6 +172,21 @@ def ip_oracle(
         result.update(new)
         frontier = new
     return sorted(result)
+
+
+# -- matrix equivalence ------------------------------------------------
+
+
+def permutation_oracle(a: list[list[int]], b: list[list[int]]) -> bool:
+    """Some relabelling p with b[i][j] == a[p[i]][p[j]] for all cells,
+    tried over every permutation with plain list indexing."""
+    n = len(a)
+    if len(b) != n:
+        return False
+    return any(
+        all(a[p[i]][p[j]] == b[i][j] for i in range(n) for j in range(n))
+        for p in permutations(range(n))
+    )
 
 
 # -- path grounding ----------------------------------------------------

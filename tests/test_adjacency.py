@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from kgsignals.adjacency import (
     AdjacencyMatrix,
     SkipExample,
+    _resample_values,
+    _row_signatures,
     flatten_adjacency,
     make_iva_example,
     permutation_equivalent,
@@ -15,7 +17,7 @@ from kgsignals.adjacency import (
 )
 from kgsignals.graph import Fact, build_index
 
-from oracles import dense_adjacency, random_graph
+from oracles import dense_adjacency, permutation_oracle, random_graph
 
 
 class TestRelationlessAdjacency:
@@ -120,6 +122,63 @@ class TestPermutationEquivalent:
 
     def test_shape_mismatch(self):
         assert not permutation_equivalent(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_matching_signatures_not_equivalent(self):
+        # every row of both is (diagonal 0; values 0, 0, 0, 0, 1, 1), but
+        # one 6-cycle is not two triangles
+        cycle = np.zeros((6, 6), dtype=np.int64)
+        for i in range(6):
+            cycle[i, (i + 1) % 6] = cycle[(i + 1) % 6, i] = 1
+        triangles = np.zeros((6, 6), dtype=np.int64)
+        for block in ((0, 1, 2), (3, 4, 5)):
+            for i in block:
+                for j in block:
+                    triangles[i, j] = int(i != j)
+        assert _row_signatures(cycle) == _row_signatures(triangles)
+        assert not permutation_oracle(cycle.tolist(), triangles.tolist())
+        assert not permutation_equivalent(cycle, triangles)
+        assert permutation_equivalent(cycle, cycle[np.ix_([3, 1, 5, 0, 2, 4], [3, 1, 5, 0, 2, 4])])
+
+    def test_matches_brute_force_oracle(self):
+        rng = np.random.default_rng(0)
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 6))
+            high = int(rng.integers(2, 4))
+            a, b = rng.integers(0, high, size=(2, n, n))
+            if rng.random() < 0.8:
+                a = np.triu(a) + np.triu(a, 1).T
+                b = np.triu(b) + np.triu(b, 1).T
+            # kind 0 keeps b unrelated to a, which finds pairs with equal
+            # signatures that are not equivalent (P5 and K3 + K2)
+            kind = rng.integers(3)
+            if kind > 0:
+                p = rng.permutation(n)
+                b = a[np.ix_(p, p)]
+            if kind == 2:
+                # move one value of the relabelled copy
+                i, j, k, l = rng.integers(0, n, size=4)
+                b[i, j], b[k, l] = b[k, l], b[i, j]
+                b[j, i], b[l, k] = b[i, j], b[k, l]
+            want = permutation_oracle(a.tolist(), b.tolist())
+            sig_equal = _row_signatures(a) == _row_signatures(b)
+            assert permutation_equivalent(a, b) == want
+            assert sig_equal or not want
+            seen.add((want, sig_equal))
+        assert seen == {(True, True), (False, True), (False, False)}
+
+
+class TestResampleValues:
+    def test_pinned_output(self):
+        v = np.array([[2, 1, 0, 3], [1, 0, 4, 1], [0, 4, 1, 0], [3, 1, 0, 5]], dtype=np.int64)
+        out = _resample_values(v, random.Random(7), 0.3)
+        assert out.tolist() == [[2, 1, 2, 3], [1, 0, 2, 5], [2, 2, 1, 0], [3, 5, 0, 5]]
+        assert v[0, 2] == 0  # the input is not modified
+
+    def test_single_observed_value_bumps(self):
+        # the first chosen cell has no other observed value and becomes 3
+        out = _resample_values(np.full((3, 3), 2, dtype=np.int64), random.Random(1), 0.5)
+        assert out.tolist() == [[3, 3, 2], [3, 2, 3], [2, 3, 2]]
 
 
 class TestMakeIvaExample:

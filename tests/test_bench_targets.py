@@ -6,7 +6,11 @@ instead."""
 import importlib.util
 from pathlib import Path
 
-from kgsignals.cli import main
+from kgsignals.cli import _read_tuples, main
+from kgsignals.corpus import GenerationConfig
+from kgsignals.graph import build_index
+from kgsignals.ingest import Vocabulary
+from kgsignals.paths import information_gain_paths
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,4 +50,19 @@ def test_hooks_fit_a_traced_run(tmp_path):
     # every span whose wrapper runs a counter hook was exercised
     hooked = {"corpus.sp", "paths.sp", "paths.ip_candidates", "paths.ground",
               "neighborhood.index", "neighborhood.ball", "corpus.read"}
-    assert hooked <= {t.names[n] for n in t.name}
+    spans = [t.names[n] for n in t.name]
+    assert hooked <= set(spans)
+    # the ground hook counts distinct candidate paths per call: one call
+    # per (fact, masked position, partner position), each offered the
+    # ip candidates of the fact's relation
+    vocab = Vocabulary.load(data / "vocab.tsv")
+    g = build_index(_read_tuples(data / "train.tuples"), vocab.num_entities, vocab.num_relations)
+    pcfg = GenerationConfig(seed=1).path_config()
+    offered = sum(
+        f.arity * (f.arity - 1) * len(set(information_gain_paths(g, f.relation, pcfg)))
+        for f in g.facts
+    )
+    assert spans.count("paths.ground") == sum(f.arity * (f.arity - 1) for f in g.facts)
+    assert t.counts["paths.ground.offered"] == offered > 0
+    assert t.counts["paths.ground.kept"] > 0
+    assert spans.count("adjacency.perm") > 0

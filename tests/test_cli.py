@@ -78,11 +78,15 @@ def test_usage_errors_exit_1(dataset, ingested, tmp_path, capsys):
     assert main(["nonsense"]) == 1
     assert main(["generate", "sp", "--data", str(tmp_path), "--out", str(tmp_path)]) == 1
     assert main(["ingest", "--train", str(dataset)]) == 1  # no --out, no env var
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"hops": "3"}))
+    configs = []
+    # a wrong type, not an object (two shapes), and a misspelt key
+    for i, content in enumerate(['{"hops": "3"}', "3", '["seed"]', '{"seed": 1, "hop": 2}']):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(content)
+        configs.append(["--config", str(cfg)])
     out = tmp_path / "bad_config_out"
-    for bad in (["--hops", "0"], ["--hops", "-1"], ["--iva-cap", "0"],
-                ["--config", str(cfg)], ["--workers", "-3"], ["--corruption-rate", "5"]):
+    for bad in (["--hops", "0"], ["--hops", "-1"], ["--iva-cap", "0"], *configs,
+                ["--workers", "-3"], ["--corruption-rate", "5"]):
         capsys.readouterr()
         argv = ["generate", "all", "--data", str(ingested), "--out", str(out), "--seed", "1"]
         if "--workers" not in bad:

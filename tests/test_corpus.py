@@ -1,14 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kgsignals.adjacency import AdjacencyMatrix, flatten_adjacency
 from kgsignals.corpus import (
     EmptyCorpusError,
     CorpusFormatError,
     GenerationConfig,
     TaskRecord,
+    _flatten_tokens,
     build_queries,
     generate_task_records,
     mix_multitask,
@@ -142,6 +145,40 @@ class TestGenerateLccIva:
         c = generate_task_records(g, v, "iva", GenerationConfig(seed=1)).records
         assert [r.to_json() for r in a] == [r.to_json() for r in b]
         assert [r.to_json() for r in a] != [r.to_json() for r in c]
+
+
+class TestFlattenTokens:
+    @staticmethod
+    def per_cell(vocab, cfg, m):
+        """The tokens cell by cell through ``Vocabulary.value_token``."""
+        n = len(m.entities)
+        flat = flatten_adjacency(m)
+        tokens = [vocab.entity_token(int(e)) for e in flat[:n]]
+        clamped = False
+        for v in flat[n:]:
+            tok, cl = vocab.value_token(int(v), cfg.value_ceiling)
+            clamped = clamped or cl
+            tokens.append(tok)
+        return tokens, clamped
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    @pytest.mark.parametrize("ceiling", [0, 3, 64])
+    def test_matches_per_cell_value_tokens(self, n, ceiling):
+        vocab = make_vocab(10, 3)
+        cfg = GenerationConfig(seed=0, value_ceiling=ceiling)
+        rng = np.random.default_rng(100 * n + ceiling)
+        v = rng.integers(0, 6, size=(n, n))
+        m = AdjacencyMatrix(tuple(rng.permutation(10)[:n].tolist()), np.triu(v) + np.triu(v, 1).T)
+        tokens, clamped = _flatten_tokens(vocab, cfg, m)
+        assert (tokens, clamped) == self.per_cell(vocab, cfg, m)
+        assert type(clamped) is bool and all(type(t) is int for t in tokens)
+
+    @pytest.mark.parametrize("value, clamped", [(3, False), (4, True)])
+    def test_one_by_one_clamp_flag(self, value, clamped):
+        vocab = make_vocab(2, 1)
+        m = AdjacencyMatrix((1,), np.array([[value]], dtype=np.int64))
+        got = _flatten_tokens(vocab, GenerationConfig(seed=0, value_ceiling=3), m)
+        assert got == ([vocab.entity_token(1), vocab.value_base + 3], clamped)
 
 
 class TestClipping:

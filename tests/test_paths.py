@@ -5,6 +5,7 @@ import pytest
 
 from kgsignals.graph import Fact, build_index
 from kgsignals.paths import (
+    CandidateTrie,
     PathSearchConfig,
     UndefinedEntropyError,
     conditional_entropy,
@@ -205,6 +206,30 @@ class TestGroundPaths:
             got = ground_paths(g, e_i, e_j, cands, exclude_fact=excl)
             want = [p for p in cands if grounding_oracle(facts, e_i, e_j, p, excl)]
             assert got == want
+
+    def test_trie_iterates_distinct_sorted_paths(self):
+        trie = CandidateTrie([(1,), (0, 2), (1,), (0,), (0, 1, 3)])
+        assert list(trie) == [(0,), (0, 1, 3), (0, 2), (1,)]
+        assert len(set(trie)) == 4
+        is_candidate, children = trie.root
+        assert not is_candidate and [rel for rel, _ in children] == [0, 1]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_prebuilt_trie_matches_list_and_oracle(self, seed):
+        rng = random.Random(seed)
+        facts, n_ent, n_rel = random_graph(rng, max_entities=25, max_relations=5, max_facts=30)
+        g = build_index(facts, n_ent, n_rel)
+        cfg = PathSearchConfig(beam_k=rng.randint(1, 3), max_hops=rng.randint(1, 4))
+        for r in range(n_rel):
+            cands = ip_oracle(facts, n_ent, n_rel, r, cfg.beam_k, cfg.max_hops)
+            trie = CandidateTrie(information_gain_paths(g, r, cfg))
+            assert list(trie) == cands
+            for _ in range(3):
+                e_i, e_j = rng.randrange(n_ent), rng.randrange(n_ent)
+                for excl in (None, rng.randrange(len(facts))):
+                    want = [p for p in cands if grounding_oracle(facts, e_i, e_j, p, excl)]
+                    assert ground_paths(g, e_i, e_j, trie, exclude_fact=excl) == want
+                    assert ground_paths(g, e_i, e_j, cands[::-1], exclude_fact=excl) == want
 
 
 class TestShortestRelationalPaths:
