@@ -266,10 +266,18 @@ def cmd_generate(args) -> int:
 
 def cmd_mix(args) -> int:
     per_task: dict[str, list[TaskRecord]] = {}
-    header = None
+    header = first = None
     for path in args.corpora:
         h, records = read_corpus(path)
-        header = header or h
+        if header is None:
+            header, first = h, path
+        elif h.get("vocab_hash") != header.get("vocab_hash"):
+            # token ids of different vocabularies mean different things
+            raise corpus_mod.CorpusFormatError(
+                f"{path}:1: vocab_hash {h.get('vocab_hash')} differs from "
+                f"{header.get('vocab_hash')} of {first}; "
+                "corpora of different vocabularies cannot be mixed"
+            )
         for r in records:
             r.weight = None
             per_task.setdefault(r.task, []).append(r)
@@ -292,15 +300,18 @@ def cmd_mix(args) -> int:
 
 def _verify_corpus(path: str) -> None:
     header, records = read_corpus(path)
-    sizes = header.get("vocab_sizes") or {}
-    n_special = sizes.get("specials", len(SPECIAL_TOKENS))
-    n_ent = sizes.get("entities", 0)
-    n_rel = sizes.get("relations", 0)
-    cfg = header.get("config") or {}
-    max_len = cfg.get("max_len", 1024)
-    max_hops = cfg.get("max_hops", 4)
-    ent_lo, ent_hi = n_special, n_special + n_ent
-    rel_lo, rel_hi = ent_hi, ent_hi + n_rel
+    try:
+        sizes = header.get("vocab_sizes") or {}
+        n_special = sizes.get("specials", len(SPECIAL_TOKENS))
+        n_ent = sizes.get("entities", 0)
+        n_rel = sizes.get("relations", 0)
+        cfg = header.get("config") or {}
+        max_len = cfg.get("max_len", 1024)
+        max_hops = cfg.get("max_hops", 4)
+        ent_lo, ent_hi = n_special, n_special + n_ent
+        rel_lo, rel_hi = ent_hi, ent_hi + n_rel
+    except (AttributeError, TypeError) as exc:
+        raise VerifyError(f"{path}: malformed header: {exc}") from exc
     no_path = SPECIAL_TOKENS.index("[NO_PATH]")
     eos = SPECIAL_TOKENS.index("[EOS]")
     counts: dict[str, int] = {}
@@ -308,54 +319,63 @@ def _verify_corpus(path: str) -> None:
     def fail(i: int, msg: str):
         raise VerifyError(f"{path}: record {i}: {msg}")
 
-    for i, r in enumerate(records):
-        counts[r.task] = counts.get(r.task, 0) + 1
-        if r.task not in TASKS:
-            fail(i, f"unknown task {r.task!r}")
-        if not r.input_tokens:
-            fail(i, "empty input")
-        if r.input_tokens[0] != SPECIAL_TOKENS.index(TASK_TOKENS[r.task]):
-            fail(i, "input does not start with its task token")
-        if len(r.input_tokens) > max_len:
-            fail(i, f"input length {len(r.input_tokens)} exceeds {max_len}")
-        if r.target_kind == "tokens":
-            t = r.target
-            if t == [no_path]:
-                pass
+    try:
+        for i, r in enumerate(records):
+            counts[r.task] = counts.get(r.task, 0) + 1
+            if r.task not in TASKS:
+                fail(i, f"unknown task {r.task!r}")
+            if not r.input_tokens:
+                fail(i, "empty input")
+            if r.input_tokens[0] != SPECIAL_TOKENS.index(TASK_TOKENS[r.task]):
+                fail(i, "input does not start with its task token")
+            if len(r.input_tokens) > max_len:
+                fail(i, f"input length {len(r.input_tokens)} exceeds {max_len}")
+            if r.target_kind == "tokens":
+                t = r.target
+                if t == [no_path]:
+                    pass
+                else:
+                    if not t or t[-1] != eos:
+                        fail(i, "token target does not end with the end sentinel")
+                    body = t[:-1]
+                    if len(body) > max_hops:
+                        fail(i, f"path length {len(body)} exceeds {max_hops}")
+                    if len(set(body)) != len(body):
+                        fail(i, "repeated relation on path")
+                    for tok in body:
+                        if not rel_lo <= tok < rel_hi:
+                            fail(i, f"token {tok} is not a relation token")
+            elif r.target_kind == "dist":
+                total = sum(p for _, p in r.target)
+                if abs(total - 1.0) > 1e-9:
+                    fail(i, f"distribution sums to {total}")
+                for tok, p in r.target:
+                    if p < 0:
+                        fail(i, "negative probability")
+                    if not ent_lo <= tok < ent_hi:
+                        fail(i, f"token {tok} is not an entity token")
+            elif r.target_kind == "scalar":
+                if not 0.0 <= float(r.target) <= 1.0:
+                    fail(i, f"scalar target {r.target} outside [0, 1]")
+            elif r.target_kind == "label":
+                if r.target not in (0, 1):
+                    fail(i, f"label target {r.target} not binary")
             else:
-                if not t or t[-1] != eos:
-                    fail(i, "token target does not end with the end sentinel")
-                body = t[:-1]
-                if len(body) > max_hops:
-                    fail(i, f"path length {len(body)} exceeds {max_hops}")
-                if len(set(body)) != len(body):
-                    fail(i, "repeated relation on path")
-                for tok in body:
-                    if not rel_lo <= tok < rel_hi:
-                        fail(i, f"token {tok} is not a relation token")
-        elif r.target_kind == "dist":
-            total = sum(p for _, p in r.target)
-            if abs(total - 1.0) > 1e-9:
-                fail(i, f"distribution sums to {total}")
-            for tok, p in r.target:
-                if p < 0:
-                    fail(i, "negative probability")
-                if not ent_lo <= tok < ent_hi:
-                    fail(i, f"token {tok} is not an entity token")
-        elif r.target_kind == "scalar":
-            if not 0.0 <= float(r.target) <= 1.0:
-                fail(i, f"scalar target {r.target} outside [0, 1]")
-        elif r.target_kind == "label":
-            if r.target not in (0, 1):
-                fail(i, f"label target {r.target} not binary")
-        else:
-            fail(i, f"unknown target kind {r.target_kind!r}")
+                fail(i, f"unknown target kind {r.target_kind!r}")
+    except (TypeError, ValueError) as exc:
+        # a field of the wrong shape, such as a dist target that is not
+        # a list of pairs or a scalar that is not a number
+        fail(i, f"malformed record: {exc}")
     if header.get("counts") != counts:
         raise VerifyError(f"{path}: header counts {header.get('counts')} != actual {counts}")
     alpha = header.get("alpha")
     if alpha is not None:
-        if abs(sum(alpha.values()) - 1.0) > 1e-12:
-            raise VerifyError(f"{path}: task weights sum to {sum(alpha.values())}")
+        try:
+            total = sum(alpha.values())
+        except (AttributeError, TypeError) as exc:
+            raise VerifyError(f"{path}: malformed task weights: {exc}") from exc
+        if abs(total - 1.0) > 1e-12:
+            raise VerifyError(f"{path}: task weights sum to {total}")
         for i, r in enumerate(records):
             if r.weight != alpha.get(r.task):
                 raise VerifyError(f"{path}: record {i}: weight {r.weight} != alpha[{r.task}]")

@@ -241,10 +241,10 @@ def _gen_ip_chunk(state: dict, items: list[tuple[int, Query, int]]) -> Generatio
 
 
 def _khn_lcc_input(
-    vocab: Vocabulary, cfg: GenerationConfig, task: str, center: int, prev_ball
+    vocab: Vocabulary, cfg: GenerationConfig, task: str, center: int, prev_ball: np.ndarray
 ) -> tuple[list[int], bool]:
     tokens = [vocab.special_token(TASK_TOKENS[task]), vocab.entity_token(center), vocab.special_token("[SEP]")]
-    tokens.extend(vocab.entity_token(int(e)) for e in prev_ball)
+    tokens.extend((prev_ball + vocab.num_specials).tolist())  # entity tokens
     return _clip(tokens, cfg)
 
 
@@ -252,7 +252,7 @@ def _khn_target(
     vocab: Vocabulary, cfg: GenerationConfig, index: NeighborhoodIndex, e: int, h: int
 ) -> tuple[str, object]:
     ents, probs = index.occurrence(e, h, weighted=cfg.occurrence_weighted)
-    return "dist", [(vocab.entity_token(int(t)), float(p)) for t, p in zip(ents, probs)]
+    return "dist", list(zip((ents + vocab.num_specials).tolist(), probs.tolist()))
 
 
 def _lcc_target(
@@ -271,7 +271,7 @@ def _gen_ball_chunk(task: str, target, state: dict, centers: list[int]) -> Gener
         if index.ball(e, 1).size == 0:
             skipped += 1
             continue
-        prev_ball: list[int] = []
+        prev_ball = np.empty(0, dtype=np.intp)
         for h in range(1, cfg.hops + 1):
             kind, value = target(vocab, cfg, index, e, h)
             tokens, clipped = _khn_lcc_input(vocab, cfg, task, e, prev_ball)
@@ -285,7 +285,7 @@ def _gen_ball_chunk(task: str, target, state: dict, centers: list[int]) -> Gener
                     flags=("clipped",) if clipped else (),
                 )
             )
-            prev_ball = index.ball(e, h).tolist()
+            prev_ball = index.ball(e, h)
     return GenerationResult(records, skipped)
 
 
@@ -499,7 +499,7 @@ def read_corpus(path: str | Path) -> tuple[dict, list[TaskRecord]]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"{path}:1: bad header: {exc}") from exc
-    if header.get("format") != FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise CorpusFormatError(f"{path}:1: not a {FORMAT_NAME} file")
     records: list[TaskRecord] = []
     for ln, line in enumerate(lines[1:], start=2):
@@ -507,6 +507,8 @@ def read_corpus(path: str | Path) -> tuple[dict, list[TaskRecord]]:
             continue
         try:
             records.append(TaskRecord.from_json(line))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
+            # not JSON, a missing field, or a record or field of the wrong
+            # shape (JSONDecodeError is a ValueError)
             raise CorpusFormatError(f"{path}:{ln}: bad record: {exc}") from exc
     return header, records

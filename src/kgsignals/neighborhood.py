@@ -12,12 +12,15 @@ clustering defaults to simple deduplicated counts, which keeps the
 coefficient in [0, 1]. Both are switchable per call.
 
 Everything reads the graph's co-occurrence CSR
-(:meth:`KnowledgeGraph.cooccurrence_counts`). Balls come from a frontier
-BFS per center: radius 1 is the center's row, and each further hop is
-one sparse mat-vec, so memory stays linear in the number of entities. :class:`NeighborhoodIndex` keeps the balls of
-the last center asked, for bulk generation that queries every radius
-of one center in turn; the module-level functions are thin wrappers
-over the same ball, degree and pair code.
+(:meth:`KnowledgeGraph.cooccurrence_counts`), so memory stays linear in
+the number of entities. Balls come from a frontier BFS per center:
+radius 1 is the center's row, and each further hop is one sparse
+mat-vec. Targets are one mat-vec per radius as well: the CSR, or its
+0/1 pattern for simple counts, times the 0/1 indicator of the ball
+gives every entity's degree into the ball at once.
+:class:`NeighborhoodIndex` keeps the balls of the last center asked,
+for bulk generation that queries every radius of one center in turn;
+the module-level functions are thin wrappers over the same code.
 """
 
 from __future__ import annotations
@@ -70,39 +73,13 @@ def _balls(w: sp.csr_matrix, e: int, hops: int) -> list[np.ndarray]:
     return balls
 
 
-def _occurrence_probs(w: sp.csr_matrix, e: int, ents: np.ndarray, weighted: bool) -> np.ndarray:
-    """Degree of each ball entity within ball + center, normalized."""
-    members = np.sort(np.append(ents, e))
-    sub = w[ents][:, members]
-    if weighted:
-        degrees = np.asarray(sub.sum(axis=1)).ravel()
-    else:
-        # distinct neighbours: stored cells less the entity's own diagonal
-        degrees = np.diff(sub.indptr) - (w.diagonal()[ents] != 0)
-    return degrees / int(degrees.sum())
-
-
-def _clustering(w: sp.csr_matrix, e: int, ents: np.ndarray, weighted: bool) -> float:
-    """Connected ball pairs over C(d, 2); d is the ball size, or in
-    weighted mode the center's co-occurrence count into the ball."""
-    d = int(w[e, ents].sum()) if weighted else int(ents.size)
-    if d < 2:
-        return 0.0
-    sub = w[ents][:, ents]
-    pairs = (sub.nnz - np.count_nonzero(sub.diagonal())) // 2
-    return pairs / (d * (d - 1) / 2)
-
-
-def _ball(g: KnowledgeGraph, e: int, k: int) -> np.ndarray:
+def khop_entities(g: KnowledgeGraph, e: int, k: int) -> Neighborhood:
+    """All entities at hop distance 1..k from ``e``, ascending."""
     if k < 1:
         raise ValueError("k must be >= 1")
     g._check_entity(e)
-    return _balls(g.cooccurrence_counts(), e, k)[-1]
-
-
-def khop_entities(g: KnowledgeGraph, e: int, k: int) -> Neighborhood:
-    """All entities at hop distance 1..k from ``e``, ascending."""
-    return Neighborhood(center=e, hops=k, entities=tuple(_ball(g, e, k).tolist()))
+    ball = _balls(g.cooccurrence_counts(), e, k)[-1]
+    return Neighborhood(center=e, hops=k, entities=tuple(ball.tolist()))
 
 
 def occurrence_distribution(
@@ -113,10 +90,7 @@ def occurrence_distribution(
     Degrees are taken within the neighborhood subgraph (members plus the
     center); probabilities sum to 1.
     """
-    ents = _ball(g, e, k)
-    if ents.size == 0:
-        raise EmptyNeighborhoodError(f"entity {e} has no {k}-hop neighborhood")
-    probs = _occurrence_probs(g.cooccurrence_counts(), e, ents, weighted)
+    ents, probs = NeighborhoodIndex(g, k).occurrence(e, k, weighted)
     return OccurrenceDistribution(entities=tuple(ents.tolist()), probabilities=tuple(probs.tolist()))
 
 
@@ -130,17 +104,19 @@ def local_clustering_coefficient(
     adjacency row sum from the center into the ball, and may exceed 1
     with parallel edges.
     """
-    return _clustering(g.cooccurrence_counts(), e, _ball(g, e, k), weighted)
+    return NeighborhoodIndex(g, k).clustering(e, k, weighted)
 
 
 class NeighborhoodIndex:
     """Per-center neighbourhood answers for bulk generation.
 
     Reads the graph's co-occurrence CSR (``weighted``; its diagonal
-    carries self-co-occurrence). The first question about a center runs
-    one BFS that yields its balls of radius 1..max_hops; they are kept
-    until a different center is asked about. Answers are bit-identical
-    to the module-level functions, which share this code.
+    carries self-co-occurrence) and a 0/1 copy of it sharing its index
+    arrays, whose row sums count distinct neighbours. The first question
+    about a center runs one BFS that yields its balls of radius
+    1..max_hops; they are kept until a different center is asked about.
+    :func:`occurrence_distribution` and
+    :func:`local_clustering_coefficient` answer through a fresh index.
     """
 
     def __init__(self, g: KnowledgeGraph, max_hops: int):
@@ -148,7 +124,9 @@ class NeighborhoodIndex:
             raise ValueError("max_hops must be >= 1")
         self.g = g
         self.max_hops = max_hops
-        self.weighted = g.cooccurrence_counts()
+        w = self.weighted = g.cooccurrence_counts()
+        self._pattern = sp.csr_matrix((np.ones_like(w.data), w.indices, w.indptr), shape=w.shape)
+        self._diag = w.diagonal()
         self._center = -1
         self._balls: list[np.ndarray] = []
 
@@ -162,11 +140,40 @@ class NeighborhoodIndex:
             self._center = e
         return self._balls[k - 1]
 
+    def _indicator(self, ents: np.ndarray) -> np.ndarray:
+        x = np.zeros(self.weighted.shape[0], dtype=self.weighted.dtype)
+        x[ents] = 1
+        return x
+
     def occurrence(self, e: int, k: int, weighted: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Ball of radius k and each member's degree within ball + center,
+        normalized to sum to 1."""
         ents = self.ball(e, k)
         if ents.size == 0:
             raise EmptyNeighborhoodError(f"entity {e} has no {k}-hop neighborhood")
-        return ents, _occurrence_probs(self.weighted, e, ents, weighted)
+        x = self._indicator(ents)
+        x[e] = 1
+        if weighted:
+            degrees = (self.weighted @ x)[ents]
+        else:
+            # distinct neighbours: stored cells less the entity's own diagonal
+            degrees = (self._pattern @ x)[ents] - (self._diag[ents] != 0)
+        return ents, degrees / int(degrees.sum())
 
     def clustering(self, e: int, k: int, weighted: bool = False) -> float:
-        return _clustering(self.weighted, e, self.ball(e, k), weighted)
+        """Connected ball pairs over C(d, 2); d is the ball size, or in
+        weighted mode the center's co-occurrence count into the ball."""
+        ents = self.ball(e, k)
+        x = self._indicator(ents)
+        if weighted:
+            w = self.weighted
+            lo, hi = w.indptr[e], w.indptr[e + 1]
+            d = int(w.data[lo:hi] @ x[w.indices[lo:hi]])
+        else:
+            d = int(ents.size)
+        if d < 2:
+            return 0.0
+        # each connected pair is two stored cells among the ball's rows
+        # and columns; diagonal cells are not pairs
+        cells = int((self._pattern @ x)[ents].sum()) - int(np.count_nonzero(self._diag[ents]))
+        return cells // 2 / (d * (d - 1) / 2)

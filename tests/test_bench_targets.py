@@ -52,6 +52,9 @@ def test_hooks_fit_a_traced_run(tmp_path):
               "neighborhood.index", "neighborhood.ball", "corpus.read"}
     spans = [t.names[n] for n in t.name]
     assert hooked <= set(spans)
+    # the khn and lcc targets are timed through these two methods; a
+    # bypass would leave their per-layer metrics reading 0
+    assert {"neighborhood.occurrence", "neighborhood.clustering"} <= set(spans)
     # the ground hook counts distinct candidate paths per call: one call
     # per (fact, masked position, partner position), each offered the
     # ip candidates of the fact's relation

@@ -125,6 +125,71 @@ def test_corrupted_corpus_exit_3(ingested, tmp_path):
     assert main(["verify", str(path)]) == 3
 
 
+def _target(kind, value):
+    return lambda r: {**r, "target": {"kind": kind, "value": value}}
+
+
+# (corpus file, record mutation, verify exit code, mix exit code). A
+# record that is not an object or has a field of the wrong shape is a
+# data error when read; a well-formed record whose target fails the
+# invariant suite is an invariant violation for verify only, since mix
+# does not check target values.
+MALFORMED = [
+    pytest.param("khn", lambda r: [1, 2], 2, 2, id="record_not_object"),
+    pytest.param("khn", _target("dist", [1]), 2, 2, id="dist_target_not_pairs"),
+    pytest.param("lcc", _target("scalar", "x"), 3, 0, id="scalar_target_not_number"),
+    pytest.param("khn", _target("dist", [[1]]), 3, 0, id="dist_pair_too_short"),
+    pytest.param("khn", _target("dist", [[7, "p"]]), 3, 0, id="dist_probability_not_number"),
+]
+
+
+@pytest.mark.parametrize("task,mutate,verify_rc,mix_rc", MALFORMED)
+def test_malformed_record_exits_with_one_line(
+    ingested, tmp_path, capsys, task, mutate, verify_rc, mix_rc
+):
+    out = tmp_path / "c"
+    assert main(["generate", task, "--data", str(ingested), "--out", str(out),
+                 "--seed", "1", "--workers", "1"]) == 0
+    path = out / f"{task}.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps(mutate(json.loads(lines[1])))
+    path.write_text("\n".join(lines) + "\n")
+    mixed = tmp_path / "mixed.jsonl"
+    for argv, rc in ((["verify", str(path)], verify_rc),
+                     (["mix", str(path), "--seed", "1", "--out", str(mixed)], mix_rc)):
+        capsys.readouterr()
+        assert main(argv) == rc, argv
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("INFO")]
+        if rc == 0:
+            assert err == [], argv
+            continue
+        assert len(err) == 1, (argv, err)
+        if rc == 2:
+            assert f"{path}:2:" in err[0]
+    assert mixed.exists() == (mix_rc == 0)
+
+
+def test_mix_rejects_corpora_of_different_vocabularies(ingested, tmp_path, capsys):
+    other = tmp_path / "other.tsv"
+    other.write_text("xavier\tlikes\tyvonne\nyvonne\tlikes\tzoe\n")
+    other_data = tmp_path / "other_data"
+    assert main(["ingest", "--train", str(other), "--out", str(other_data)]) == 0
+    corpora = []
+    for name, data in (("a", ingested), ("b", other_data)):
+        out = tmp_path / name
+        assert main(["generate", "sp", "--data", str(data), "--out", str(out),
+                     "--seed", "1", "--workers", "1"]) == 0
+        corpora.append(str(out / "sp.jsonl"))
+    mixed = tmp_path / "mixed.jsonl"
+    capsys.readouterr()
+    assert main(["mix", *corpora, "--seed", "1", "--out", str(mixed)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "vocab_hash" in err[0] and f"{corpora[1]}:1:" in err[0]
+    assert not mixed.exists()
+    # the same vocabulary still mixes
+    assert main(["mix", corpora[0], corpora[0], "--seed", "1", "--out", str(mixed)]) == 0
+
+
 def test_generate_on_edgeless_graph_warns_and_succeeds(tmp_path, caplog):
     train = tmp_path / "train.tsv"
     train.write_text("a\tr\tb\n")

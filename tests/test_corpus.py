@@ -12,6 +12,7 @@ from kgsignals.corpus import (
     GenerationConfig,
     TaskRecord,
     _flatten_tokens,
+    _khn_lcc_input,
     build_queries,
     generate_task_records,
     mix_multitask,
@@ -196,6 +197,24 @@ class TestClipping:
                 assert len(r.input_tokens) <= 16
             for r in clipped:
                 assert "clipped" in r.flags
+
+
+class TestKhnLccInput:
+    # sizes around max_len = 16 (3 head tokens): empty, fits, exactly
+    # full, clipped
+    @pytest.mark.parametrize("size", [0, 5, 13, 14, 40])
+    @pytest.mark.parametrize("task", ["khn", "lcc"])
+    def test_matches_per_entity_tokens(self, task, size):
+        v = make_vocab(60, 2)
+        cfg = GenerationConfig(seed=0, max_len=16)
+        ball = np.sort(np.random.default_rng(size).choice(np.arange(1, 60), size, replace=False))
+        ball.flags.writeable = False  # as NeighborhoodIndex.ball returns it
+        want = [v.special_token(TASK_TOKENS[task]), v.entity_token(0), v.special_token("[SEP]")]
+        want += [v.entity_token(int(e)) for e in ball]
+        tokens, clipped = _khn_lcc_input(v, cfg, task, 0, ball)
+        assert tokens == want[: cfg.max_len]
+        assert clipped == (len(want) > cfg.max_len)
+        assert all(type(t) is int for t in tokens)
 
 
 class TestMix:

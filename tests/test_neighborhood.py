@@ -18,6 +18,20 @@ def chain3():
     return build_index([Fact(0, (0, 1)), Fact(0, (1, 2))], 3, 1)
 
 
+def dense_graph(seed):
+    """At most 12 entities and 30-60 facts of arity 2-4: the 2- and
+    3-hop balls cover the whole component, and the last fact repeats an
+    entity, so some diagonal cell is nonzero."""
+    rng = random.Random(seed)
+    n_ent = rng.randint(4, 12)
+    facts = [
+        Fact(rng.randrange(3), tuple(rng.randrange(n_ent) for _ in range(rng.randint(2, 4))))
+        for _ in range(rng.randint(30, 59))
+    ]
+    facts.append(Fact(0, (0, 1, 0)))
+    return facts, n_ent
+
+
 class TestKhopEntities:
     def test_chain_hop1(self):
         assert khop_entities(chain3(), 0, 1).entities == (1,)
@@ -163,6 +177,32 @@ class TestNeighborhoodIndex:
                     assert got == occurrence_oracle(facts, n_ent, e, k, weighted=weighted)
                     dist = occurrence_distribution(g, e, k, weighted=weighted)
                     assert dict(zip(dist.entities, dist.probabilities)) == got
+
+    @pytest.mark.parametrize("seed", range(12), ids=lambda s: f"dense{s}")
+    def test_dense_graphs_match_oracles(self, seed):
+        # every entity of one component in its 2- and 3-hop balls, and
+        # diagonal cells: the degree and pair counts of each target are
+        # one mat-vec over rows that include self-co-occurrence
+        facts, n_ent = dense_graph(seed)
+        g = build_index(facts, n_ent, 3)
+        assert g.cooccurrence_counts().diagonal().any()
+        index = NeighborhoodIndex(g, 3)
+        for e in range(n_ent):
+            assert bfs_ball(facts, e, 2) == bfs_ball(facts, e, n_ent)  # saturated
+            for k in (1, 2, 3):
+                for weighted in (False, True):
+                    want = lcc_oracle(facts, e, k, weighted=weighted)
+                    assert index.clustering(e, k, weighted=weighted) == want
+                    assert local_clustering_coefficient(g, e, k, weighted=weighted) == want
+                    if not bfs_ball(facts, e, k):
+                        with pytest.raises(EmptyNeighborhoodError):
+                            index.occurrence(e, k, weighted=weighted)
+                        continue
+                    want = occurrence_oracle(facts, n_ent, e, k, weighted=weighted)
+                    ents, probs = index.occurrence(e, k, weighted=weighted)
+                    assert dict(zip(ents.tolist(), probs.tolist())) == want
+                    dist = occurrence_distribution(g, e, k, weighted=weighted)
+                    assert dict(zip(dist.entities, dist.probabilities)) == want
 
     def test_radius_bounds(self):
         index = NeighborhoodIndex(chain3(), 2)
