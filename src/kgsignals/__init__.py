@@ -1,7 +1,7 @@
 """Graph-structural self-supervised pretraining corpora for knowledge
 graphs and knowledge hypergraphs."""
 
-from .graph import Fact, KnowledgeGraph, Query, build_index
+from .graph import Fact, KnowledgeGraph, build_index
 from .ingest import VocabBuilder, Vocabulary, parse_hypergraph, parse_triples
 from .paths import (
     CandidateTrie,

@@ -1,8 +1,10 @@
 """Command-line front end: ingest -> generate -> mix -> stats -> verify.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad input file),
-3 invariant violation found by ``verify``. Progress goes to stderr,
-machine-readable output to stdout. Flag precedence: command line >
+3 invariant violation: a corpus breaks the record contract of
+``corpus.check_corpus``, found by ``verify`` or refused by ``generate``
+or ``mix``, which check every corpus before writing it. Progress goes
+to stderr, machine-readable output to stdout. Flag precedence: command line >
 config file (``--config``, JSON) > built-in defaults; the effective
 configuration is embedded in every corpus header.
 """
@@ -20,21 +22,23 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .corpus import (
+    CorpusInvariantError,
     EmptyCorpusError,
     GenerationConfig,
     TaskRecord,
     TASKS,
+    check_corpus,
+    corpus_header,
     generate_task_records,
     mix_multitask,
     read_corpus,
     write_corpus,
 )
-from .graph import Fact, GraphError, KnowledgeGraph, build_index
+from .graph import Fact, GraphError, build_index
 from .neighborhood import NeighborhoodIndex
 from .ingest import (
     ParseError,
     SPECIAL_TOKENS,
-    TASK_TOKENS,
     VocabBuilder,
     Vocabulary,
     compute_stats,
@@ -57,10 +61,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 instead of argparse's 2
         raise UsageError(message)
-
-
-class VerifyError(Exception):
-    pass
 
 
 def _build_parser() -> _Parser:
@@ -202,7 +202,7 @@ def _load_config(args) -> GenerationConfig:
         raise UsageError(f"bad configuration: {exc}") from exc
 
 
-def _corpus_header(cfg: GenerationConfig, vocab: Vocabulary, alpha: dict | None) -> dict:
+def _corpus_meta(cfg: GenerationConfig, vocab: Vocabulary, alpha: dict | None) -> dict:
     return {
         "seed": cfg.seed,
         "config": cfg.as_dict(),
@@ -216,6 +216,12 @@ def _corpus_header(cfg: GenerationConfig, vocab: Vocabulary, alpha: dict | None)
         "alpha": alpha,
         "uniform_weights": alpha is None,
     }
+
+
+def _write_checked(records: list[TaskRecord], path, meta: dict) -> None:
+    """Write a corpus only if it passes the check that ``verify`` runs."""
+    check_corpus(f"{path} (not written)", corpus_header(records, meta), records)
+    write_corpus(records, path, meta)
 
 
 def cmd_generate(args) -> int:
@@ -249,14 +255,14 @@ def cmd_generate(args) -> int:
         for r in result.records:
             r.weight = 1.0
         per_task[task] = result.records
-        write_corpus(result.records, out / f"{task}.jsonl", _corpus_header(cfg, vocab, None))
+        _write_checked(result.records, out / f"{task}.jsonl", _corpus_meta(cfg, vocab, None))
     if args.task == "all":
         try:
             stream, plan = mix_multitask(per_task, cfg.seed)
         except EmptyCorpusError:
             log.warning("all tasks empty; skipping mixture")
             return EXIT_OK
-        write_corpus(stream, out / "all.jsonl", _corpus_header(cfg, vocab, plan.alpha))
+        _write_checked(stream, out / "all.jsonl", _corpus_meta(cfg, vocab, plan.alpha))
         (out / "mixplan.json").write_text(
             json.dumps({"sizes": plan.sizes, "alpha": plan.alpha, "seed": plan.seed}, sort_keys=True, indent=2)
             + "\n"
@@ -290,7 +296,7 @@ def cmd_mix(args) -> int:
     meta["seed"] = args.seed
     meta["alpha"] = plan.alpha
     meta["uniform_weights"] = False
-    write_corpus(stream, args.out, meta)
+    _write_checked(stream, args.out, meta)
     print(json.dumps({"sizes": plan.sizes, "alpha": plan.alpha}, sort_keys=True))
     return EXIT_OK
 
@@ -300,85 +306,7 @@ def cmd_mix(args) -> int:
 
 def _verify_corpus(path: str) -> None:
     header, records = read_corpus(path)
-    try:
-        sizes = header.get("vocab_sizes") or {}
-        n_special = sizes.get("specials", len(SPECIAL_TOKENS))
-        n_ent = sizes.get("entities", 0)
-        n_rel = sizes.get("relations", 0)
-        cfg = header.get("config") or {}
-        max_len = cfg.get("max_len", 1024)
-        max_hops = cfg.get("max_hops", 4)
-        ent_lo, ent_hi = n_special, n_special + n_ent
-        rel_lo, rel_hi = ent_hi, ent_hi + n_rel
-    except (AttributeError, TypeError) as exc:
-        raise VerifyError(f"{path}: malformed header: {exc}") from exc
-    no_path = SPECIAL_TOKENS.index("[NO_PATH]")
-    eos = SPECIAL_TOKENS.index("[EOS]")
-    counts: dict[str, int] = {}
-
-    def fail(i: int, msg: str):
-        raise VerifyError(f"{path}: record {i}: {msg}")
-
-    try:
-        for i, r in enumerate(records):
-            counts[r.task] = counts.get(r.task, 0) + 1
-            if r.task not in TASKS:
-                fail(i, f"unknown task {r.task!r}")
-            if not r.input_tokens:
-                fail(i, "empty input")
-            if r.input_tokens[0] != SPECIAL_TOKENS.index(TASK_TOKENS[r.task]):
-                fail(i, "input does not start with its task token")
-            if len(r.input_tokens) > max_len:
-                fail(i, f"input length {len(r.input_tokens)} exceeds {max_len}")
-            if r.target_kind == "tokens":
-                t = r.target
-                if t == [no_path]:
-                    pass
-                else:
-                    if not t or t[-1] != eos:
-                        fail(i, "token target does not end with the end sentinel")
-                    body = t[:-1]
-                    if len(body) > max_hops:
-                        fail(i, f"path length {len(body)} exceeds {max_hops}")
-                    if len(set(body)) != len(body):
-                        fail(i, "repeated relation on path")
-                    for tok in body:
-                        if not rel_lo <= tok < rel_hi:
-                            fail(i, f"token {tok} is not a relation token")
-            elif r.target_kind == "dist":
-                total = sum(p for _, p in r.target)
-                if abs(total - 1.0) > 1e-9:
-                    fail(i, f"distribution sums to {total}")
-                for tok, p in r.target:
-                    if p < 0:
-                        fail(i, "negative probability")
-                    if not ent_lo <= tok < ent_hi:
-                        fail(i, f"token {tok} is not an entity token")
-            elif r.target_kind == "scalar":
-                if not 0.0 <= float(r.target) <= 1.0:
-                    fail(i, f"scalar target {r.target} outside [0, 1]")
-            elif r.target_kind == "label":
-                if r.target not in (0, 1):
-                    fail(i, f"label target {r.target} not binary")
-            else:
-                fail(i, f"unknown target kind {r.target_kind!r}")
-    except (TypeError, ValueError) as exc:
-        # a field of the wrong shape, such as a dist target that is not
-        # a list of pairs or a scalar that is not a number
-        fail(i, f"malformed record: {exc}")
-    if header.get("counts") != counts:
-        raise VerifyError(f"{path}: header counts {header.get('counts')} != actual {counts}")
-    alpha = header.get("alpha")
-    if alpha is not None:
-        try:
-            total = sum(alpha.values())
-        except (AttributeError, TypeError) as exc:
-            raise VerifyError(f"{path}: malformed task weights: {exc}") from exc
-        if abs(total - 1.0) > 1e-12:
-            raise VerifyError(f"{path}: task weights sum to {total}")
-        for i, r in enumerate(records):
-            if r.weight != alpha.get(r.task):
-                raise VerifyError(f"{path}: record {i}: weight {r.weight} != alpha[{r.task}]")
+    check_corpus(path, header, records)
 
 
 def cmd_verify(args) -> int:
@@ -408,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, corpus_mod.CorpusFormatError, GraphError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except VerifyError as exc:
+    except CorpusInvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -17,15 +17,15 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .adjacency import SkipExample, make_iva_example, upper_triangle
-from .graph import KnowledgeGraph, Query
-from .ingest import TASK_TOKENS, Vocabulary
+from .graph import KnowledgeGraph
+from .ingest import SPECIAL_TOKENS, TASK_TOKENS, Vocabulary
 from .neighborhood import NeighborhoodIndex
 from .paths import (
     CandidateTrie,
@@ -46,6 +46,10 @@ class EmptyCorpusError(Exception):
 
 class CorpusFormatError(Exception):
     """Malformed corpus file; message carries the line number."""
+
+
+class CorpusInvariantError(Exception):
+    """A corpus breaks the record contract of :func:`check_corpus`."""
 
 
 @dataclass(frozen=True)
@@ -149,94 +153,58 @@ class MixPlan:
     seed: int
 
 
-def build_queries(g: KnowledgeGraph, split: str = "train") -> list[Query]:
-    """One query per fact per maskable position; the masked entity is
-    later paired with each other entity in the fact as path endpoints."""
-    queries: list[Query] = []
-    for f in g.facts:
-        for m in range(f.arity):
-            queries.append(Query(relation=f.relation, entities=f.entities, masked_index=m, split=split))
-    return queries
-
-
 def _clip(tokens: list[int], cfg: GenerationConfig) -> tuple[list[int], bool]:
     if len(tokens) > cfg.max_len:
         return tokens[: cfg.max_len], True
     return tokens, False
 
 
-def _path_records(
-    task: str,
-    vocab: Vocabulary,
-    cfg: GenerationConfig,
-    fact_index: int,
-    query: Query,
-    partner_pos: int,
-    paths: list[tuple[int, ...]],
-) -> list[TaskRecord]:
-    e_i = query.answer
-    e_j = query.entities[partner_pos]
-    head = [
-        vocab.special_token(TASK_TOKENS[task]),
-        vocab.entity_token(e_i),
-        vocab.relation_token(query.relation),
-        vocab.entity_token(e_j),
-    ]
-    prov_base = f"f{fact_index:08d}:m{query.masked_index:02d}:p{partner_pos:02d}"
-    out: list[TaskRecord] = []
-    if not paths:
-        out.append(
-            TaskRecord(
-                task=task,
-                input_tokens=head,
-                target_kind="tokens",
-                target=[vocab.special_token("[NO_PATH]")],
-                provenance=f"{prov_base}:x0000",
-            )
-        )
-        return out
-    eos = vocab.special_token("[EOS]")
-    for i, p in enumerate(paths):
-        out.append(
-            TaskRecord(
-                task=task,
-                input_tokens=head,
-                target_kind="tokens",
-                target=[vocab.relation_token(r) for r in p] + [eos],
-                provenance=f"{prov_base}:x{i:04d}",
-            )
-        )
-    return out
-
-
 # -- per-task generators (chunk level, used by the worker pool) --------
 
 
-def _gen_sp_chunk(state: dict, items: list[tuple[int, Query, int]]) -> GenerationResult:
-    g, vocab, cfg = state["g"], state["vocab"], state["cfg"]
-    pcfg = cfg.path_config()
-    records: list[TaskRecord] = []
-    for fact_index, query, partner_pos in items:
-        paths = shortest_relational_paths(
-            g, query.answer, query.entities[partner_pos], pcfg, exclude_fact=fact_index
-        )
-        records.extend(_path_records("sp", vocab, cfg, fact_index, query, partner_pos, paths))
-    return GenerationResult(records)
+def _sp_paths(state: dict, fact_index: int, e_i: int, e_j: int) -> list[tuple[int, ...]]:
+    return shortest_relational_paths(state["g"], e_i, e_j, state["pcfg"], exclude_fact=fact_index)
 
 
-def _gen_ip_chunk(state: dict, items: list[tuple[int, Query, int]]) -> GenerationResult:
+def _ip_paths(state: dict, fact_index: int, e_i: int, e_j: int) -> list[tuple[int, ...]]:
+    g = state["g"]
+    candidates = state["ip_candidates"][g.facts[fact_index].relation]
+    return ground_paths(g, e_i, e_j, candidates, exclude_fact=fact_index)
+
+
+def _gen_path_chunk(
+    task: str, search, state: dict, items: list[tuple[int, int, int]]
+) -> GenerationResult:
+    """Records of (fact index, masked position, partner position) items.
+    The input names the masked entity e_i, the fact's relation and the
+    partner e_j; there is one record per path that ``search`` finds
+    between them with the fact itself excluded, or one [NO_PATH] record."""
     g, vocab, cfg = state["g"], state["vocab"], state["cfg"]
-    candidates = state["ip_candidates"]
+    task_token = vocab.special_token(TASK_TOKENS[task])
+    eos = vocab.special_token("[EOS]")
+    no_path = vocab.special_token("[NO_PATH]")
     records: list[TaskRecord] = []
-    for fact_index, query, partner_pos in items:
-        grounded = ground_paths(
-            g,
-            query.answer,
-            query.entities[partner_pos],
-            candidates[query.relation],
-            exclude_fact=fact_index,
+    for fact_index, masked, partner in items:
+        fact = g.facts[fact_index]
+        e_i, e_j = fact.entities[masked], fact.entities[partner]
+        paths = search(state, fact_index, e_i, e_j)
+        head, clipped = _clip(
+            [task_token, vocab.entity_token(e_i), vocab.relation_token(fact.relation), vocab.entity_token(e_j)],
+            cfg,
         )
-        records.extend(_path_records("ip", vocab, cfg, fact_index, query, partner_pos, grounded))
+        prov_base = f"f{fact_index:08d}:m{masked:02d}:p{partner:02d}"
+        targets = [[vocab.relation_token(r) for r in p] + [eos] for p in paths] or [[no_path]]
+        records.extend(
+            TaskRecord(
+                task=task,
+                input_tokens=head,
+                target_kind="tokens",
+                target=target,
+                provenance=f"{prov_base}:x{i:04d}",
+                flags=("clipped",) if clipped else (),
+            )
+            for i, target in enumerate(targets)
+        )
     return GenerationResult(records)
 
 
@@ -341,8 +309,8 @@ def _gen_iva_chunk(state: dict, items: list[tuple[int, bool]]) -> GenerationResu
 
 
 _CHUNK_FNS = {
-    "sp": _gen_sp_chunk,
-    "ip": _gen_ip_chunk,
+    "sp": partial(_gen_path_chunk, "sp", _sp_paths),
+    "ip": partial(_gen_path_chunk, "ip", _ip_paths),
     "khn": partial(_gen_ball_chunk, "khn", _khn_target),
     "lcc": partial(_gen_ball_chunk, "lcc", _lcc_target),
     "iva": _gen_iva_chunk,
@@ -388,7 +356,6 @@ def generate_task_records(
     vocab: Vocabulary,
     task: str,
     cfg: GenerationConfig,
-    queries: list[Query] | None = None,
     workers: int = 1,
     index: NeighborhoodIndex | None = None,
 ) -> GenerationResult:
@@ -400,17 +367,22 @@ def generate_task_records(
         raise ValueError(f"unknown task {task!r}")
     state: dict = {"g": g, "vocab": vocab, "cfg": cfg}
     if task in ("sp", "ip"):
-        if queries is None:
-            queries = build_queries(g)
-        items = _query_items(g, queries)
+        pcfg = state["pcfg"] = cfg.path_config()
         if task == "ip":
-            pcfg = cfg.path_config()
             ip_cache: dict = {}
-            # one trie per relation, shared by every query of it
+            # one trie per relation, shared by every fact of it
             state["ip_candidates"] = {
                 r: CandidateTrie(information_gain_paths(g, r, pcfg, ip_cache))
                 for r in range(g.num_relations)
             }
+        # every fact pairs each of its positions, masked, with every other
+        items = [
+            (i, m, p)
+            for i, f in enumerate(g.facts)
+            for m in range(f.arity)
+            for p in range(f.arity)
+            if p != m
+        ]
         return _run_chunks(task, state, items, workers)
     if task == "iva":
         eligible = [e for e in range(g.num_entities) if g.neighbors(e)]
@@ -421,33 +393,6 @@ def generate_task_records(
     state["index"] = index if index is not None else NeighborhoodIndex(g, cfg.hops)
     centers = list(range(g.num_entities))
     return _run_chunks(task, state, centers, workers)
-
-
-def _query_items(g: KnowledgeGraph, queries: list[Query]) -> list[tuple[int, Query, int]]:
-    """Expand queries into (fact index, query, partner position) items.
-
-    Each masked slot is paired with every other position in the fact.
-    """
-    fact_lookup: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    for i, f in enumerate(g.facts):
-        fact_lookup.setdefault((f.relation, f.entities), []).append(i)
-    cursor: dict[tuple[int, tuple[int, ...], int], int] = {}
-    items: list[tuple[int, Query, int]] = []
-    for q in queries:
-        key = (q.relation, q.entities)
-        indices = fact_lookup.get(key)
-        if indices is None:
-            fact_index = -1  # query not backed by a train fact; nothing to exclude
-        else:
-            # rotate through duplicates so each duplicate fact maps to itself
-            ck = (q.relation, q.entities, q.masked_index)
-            n = cursor.get(ck, 0)
-            cursor[ck] = n + 1
-            fact_index = indices[n % len(indices)]
-        for p in range(len(q.entities)):
-            if p != q.masked_index:
-                items.append((fact_index, q, p))
-    return items
 
 
 def mix_multitask(
@@ -476,8 +421,9 @@ def mix_multitask(
     return stream, MixPlan(sizes=sizes, alpha=alpha, seed=seed)
 
 
-def write_corpus(records: list[TaskRecord], path: str | Path, meta: dict) -> None:
-    """Write the header line followed by one record per line."""
+def corpus_header(records: list[TaskRecord], meta: dict) -> dict:
+    """The header line of a corpus: ``meta`` plus the format, the version
+    and the per-task record counts."""
     counts: dict[str, int] = {}
     for r in records:
         counts[r.task] = counts.get(r.task, 0) + 1
@@ -485,9 +431,117 @@ def write_corpus(records: list[TaskRecord], path: str | Path, meta: dict) -> Non
     header.setdefault("format", FORMAT_NAME)
     header.setdefault("version", FORMAT_VERSION)
     header["counts"] = counts
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    return header
+
+
+def write_corpus(records: list[TaskRecord], path: str | Path, meta: dict) -> None:
+    """Write the header line followed by one record per line."""
+    lines = [json.dumps(corpus_header(records, meta), sort_keys=True, separators=(",", ":"))]
     lines.extend(r.to_json() for r in records)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _header_int(section: dict, key: str, default: int) -> int:
+    value = section.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{key} must be an int, got {value!r}")
+    return value
+
+
+def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> None:
+    """Raise :class:`CorpusInvariantError`, naming ``path``, unless the
+    header and records keep the record contract.
+
+    Every input starts with its task token and fits ``config.max_len``.
+    A token target is [NO_PATH] or at most ``config.max_hops`` distinct
+    relation tokens and [EOS]. A dist target is entity tokens with
+    non-negative probabilities summing to 1. A label is 0 or 1. A scalar
+    lies in [0, 1], or is finite and >= 0 when ``config.lcc_weighted``.
+    The header counts match the records; with ``alpha``, the weights sum
+    to 1 and each record's weight is its task's.
+    """
+    try:
+        sizes = header.get("vocab_sizes") or {}
+        n_special = _header_int(sizes, "specials", len(SPECIAL_TOKENS))
+        n_ent = _header_int(sizes, "entities", 0)
+        n_rel = _header_int(sizes, "relations", 0)
+        cfg = header.get("config") or {}
+        max_len = _header_int(cfg, "max_len", 1024)
+        max_hops = _header_int(cfg, "max_hops", 4)
+        lcc_weighted = cfg.get("lcc_weighted", False)
+        if not isinstance(lcc_weighted, bool):
+            raise TypeError(f"lcc_weighted must be a bool, got {lcc_weighted!r}")
+    except (AttributeError, TypeError) as exc:
+        raise CorpusInvariantError(f"{path}: malformed header: {exc}") from exc
+    ent_lo, ent_hi = n_special, n_special + n_ent
+    rel_lo, rel_hi = ent_hi, ent_hi + n_rel
+    scalar_hi, scalar_range = (math.inf, "[0, inf)") if lcc_weighted else (1.0, "[0, 1]")
+    no_path = SPECIAL_TOKENS.index("[NO_PATH]")
+    eos = SPECIAL_TOKENS.index("[EOS]")
+    counts: dict[str, int] = {}
+
+    def fail(i: int, msg: str):
+        raise CorpusInvariantError(f"{path}: record {i}: {msg}")
+
+    try:
+        for i, r in enumerate(records):
+            counts[r.task] = counts.get(r.task, 0) + 1
+            if r.task not in TASKS:
+                fail(i, f"unknown task {r.task!r}")
+            if not r.input_tokens:
+                fail(i, "empty input")
+            if r.input_tokens[0] != SPECIAL_TOKENS.index(TASK_TOKENS[r.task]):
+                fail(i, "input does not start with its task token")
+            if len(r.input_tokens) > max_len:
+                fail(i, f"input length {len(r.input_tokens)} exceeds {max_len}")
+            if r.target_kind == "tokens":
+                t = r.target
+                if t != [no_path]:
+                    if not t or t[-1] != eos:
+                        fail(i, "token target does not end with the end sentinel")
+                    body = t[:-1]
+                    if len(body) > max_hops:
+                        fail(i, f"path length {len(body)} exceeds {max_hops}")
+                    if len(set(body)) != len(body):
+                        fail(i, "repeated relation on path")
+                    for tok in body:
+                        if not rel_lo <= tok < rel_hi:
+                            fail(i, f"token {tok} is not a relation token")
+            elif r.target_kind == "dist":
+                total = sum(p for _, p in r.target)
+                if abs(total - 1.0) > 1e-9:
+                    fail(i, f"distribution sums to {total}")
+                for tok, p in r.target:
+                    if p < 0:
+                        fail(i, "negative probability")
+                    if not ent_lo <= tok < ent_hi:
+                        fail(i, f"token {tok} is not an entity token")
+            elif r.target_kind == "scalar":
+                value = float(r.target)
+                if not (0.0 <= value <= scalar_hi and math.isfinite(value)):
+                    fail(i, f"scalar target {r.target} outside {scalar_range}")
+            elif r.target_kind == "label":
+                if r.target not in (0, 1):
+                    fail(i, f"label target {r.target} not binary")
+            else:
+                fail(i, f"unknown target kind {r.target_kind!r}")
+    except (TypeError, ValueError) as exc:
+        # a field of the wrong shape, such as a dist target that is not
+        # a list of pairs or a scalar that is not a number
+        fail(i, f"malformed record: {exc}")
+    if header.get("counts") != counts:
+        raise CorpusInvariantError(f"{path}: header counts {header.get('counts')} != actual {counts}")
+    alpha = header.get("alpha")
+    if alpha is not None:
+        try:
+            total = sum(alpha.values())
+        except (AttributeError, TypeError) as exc:
+            raise CorpusInvariantError(f"{path}: malformed task weights: {exc}") from exc
+        if abs(total - 1.0) > 1e-12:
+            raise CorpusInvariantError(f"{path}: task weights sum to {total}")
+        for i, r in enumerate(records):
+            if r.weight != alpha.get(r.task):
+                raise CorpusInvariantError(f"{path}: record {i}: weight {r.weight} != alpha[{r.task}]")
 
 
 def read_corpus(path: str | Path) -> tuple[dict, list[TaskRecord]]:

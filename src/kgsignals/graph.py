@@ -53,28 +53,6 @@ def _pair_weights(fact: Fact) -> dict[tuple[int, int], int]:
     return out
 
 
-@dataclass(frozen=True)
-class Query:
-    """A fact with one entity position masked out for prediction.
-
-    ``entities`` keeps the ground-truth entity in the masked slot so that
-    downstream path grounding can pair it with the other endpoints.
-    """
-
-    relation: int
-    entities: tuple[int, ...]
-    masked_index: int
-    split: str = "train"
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.masked_index < len(self.entities):
-            raise ValueError(f"masked_index {self.masked_index} out of range")
-
-    @property
-    def answer(self) -> int:
-        return self.entities[self.masked_index]
-
-
 class KnowledgeGraph:
     """Read-only incidence index; build via :func:`build_index`.
 

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from kgsignals.adjacency import (
-    AdjacencyMatrix,
     SkipExample,
     flatten_adjacency,
     make_iva_example,

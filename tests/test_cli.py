@@ -129,44 +129,87 @@ def _target(kind, value):
     return lambda r: {**r, "target": {"kind": kind, "value": value}}
 
 
-# (corpus file, record mutation, verify exit code, mix exit code). A
-# record that is not an object or has a field of the wrong shape is a
-# data error when read; a well-formed record whose target fails the
-# invariant suite is an invariant violation for verify only, since mix
-# does not check target values.
+def _header(section, key, value):
+    return lambda h: {**h, section: {**h[section], key: value}}
+
+
+# (corpus file, line mutated, mutation, verify exit code, mix exit code).
+# A record that is not an object or has a field of the wrong shape is a
+# data error when read. A header or record that reads but breaks the
+# record contract is an invariant violation: verify finds it, and mix
+# refuses to write the mixture.
 MALFORMED = [
-    pytest.param("khn", lambda r: [1, 2], 2, 2, id="record_not_object"),
-    pytest.param("khn", _target("dist", [1]), 2, 2, id="dist_target_not_pairs"),
-    pytest.param("lcc", _target("scalar", "x"), 3, 0, id="scalar_target_not_number"),
-    pytest.param("khn", _target("dist", [[1]]), 3, 0, id="dist_pair_too_short"),
-    pytest.param("khn", _target("dist", [[7, "p"]]), 3, 0, id="dist_probability_not_number"),
+    pytest.param("khn", 1, lambda r: [1, 2], 2, 2, id="record_not_object"),
+    pytest.param("khn", 1, _target("dist", [1]), 2, 2, id="dist_target_not_pairs"),
+    pytest.param("lcc", 1, _target("scalar", "x"), 3, 3, id="scalar_target_not_number"),
+    pytest.param("khn", 1, _target("dist", [[1]]), 3, 3, id="dist_pair_too_short"),
+    pytest.param("khn", 1, _target("dist", [[7, "p"]]), 3, 3, id="dist_probability_not_number"),
+    pytest.param("khn", 0, _header("config", "max_len", "x"), 3, 3, id="header_max_len_not_int"),
+    pytest.param("khn", 0, _header("vocab_sizes", "entities", "4"), 3, 3, id="header_vocab_size_not_int"),
+    pytest.param("lcc", 0, _header("config", "lcc_weighted", "yes"), 3, 3, id="header_lcc_weighted_not_bool"),
 ]
 
 
-@pytest.mark.parametrize("task,mutate,verify_rc,mix_rc", MALFORMED)
+@pytest.mark.parametrize("task,line,mutate,verify_rc,mix_rc", MALFORMED)
 def test_malformed_record_exits_with_one_line(
-    ingested, tmp_path, capsys, task, mutate, verify_rc, mix_rc
+    ingested, tmp_path, capsys, task, line, mutate, verify_rc, mix_rc
 ):
     out = tmp_path / "c"
     assert main(["generate", task, "--data", str(ingested), "--out", str(out),
                  "--seed", "1", "--workers", "1"]) == 0
     path = out / f"{task}.jsonl"
     lines = path.read_text().splitlines()
-    lines[1] = json.dumps(mutate(json.loads(lines[1])))
+    lines[line] = json.dumps(mutate(json.loads(lines[line])))
     path.write_text("\n".join(lines) + "\n")
     mixed = tmp_path / "mixed.jsonl"
-    for argv, rc in ((["verify", str(path)], verify_rc),
-                     (["mix", str(path), "--seed", "1", "--out", str(mixed)], mix_rc)):
+    for argv, rc, named in ((["verify", str(path)], verify_rc, f"{path}"),
+                            (["mix", str(path), "--seed", "1", "--out", str(mixed)], mix_rc,
+                             f"{mixed} (not written)")):
         capsys.readouterr()
         assert main(argv) == rc, argv
-        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("INFO")]
+        err = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("INFO")]
         if rc == 0:
             assert err == [], argv
             continue
         assert len(err) == 1, (argv, err)
         if rc == 2:
             assert f"{path}:2:" in err[0]
+        elif line == 0:
+            assert f"{named}: malformed header: " in err[0]
+        else:
+            assert f"{named}: record " in err[0]
     assert mixed.exists() == (mix_rc == 0)
+
+
+def _config(tmp_path, **values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
+def test_clipped_path_inputs_pass_verify(ingested, tmp_path):
+    # sp and ip inputs are four tokens: [SP|IP] e_i r e_j
+    out = tmp_path / "o"
+    assert main(["generate", "all", "--data", str(ingested), "--out", str(out), "--workers", "1",
+                 "--config", _config(tmp_path, seed=1, max_len=3)]) == 0
+    corpora = sorted(str(p) for p in out.glob("*.jsonl"))
+    assert len(corpora) == 6
+    assert main(["verify", *corpora]) == 0
+
+
+def test_weighted_lcc_above_one_passes_verify(ingested, tmp_path):
+    out = tmp_path / "o"
+    assert main(["generate", "lcc", "--data", str(ingested), "--out", str(out), "--workers", "1",
+                 "--config", _config(tmp_path, seed=1, lcc_weighted=True)]) == 0
+    path = out / "lcc.jsonl"
+    _, records = read_corpus(path)
+    assert max(r.target for r in records) > 1
+    assert main(["verify", str(path)]) == 0
+    # the same records under the unweighted bound break the contract
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps(_header("config", "lcc_weighted", False)(json.loads(lines[0])))
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(path)]) == 3
 
 
 def test_mix_rejects_corpora_of_different_vocabularies(ingested, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -13,7 +12,6 @@ from kgsignals.corpus import (
     TaskRecord,
     _flatten_tokens,
     _khn_lcc_input,
-    build_queries,
     generate_task_records,
     mix_multitask,
     read_corpus,
@@ -187,14 +185,15 @@ class TestClipping:
         facts = [Fact(0, (0, i)) for i in range(1, 60)]
         g = build_index(facts, 60, 1)
         v = make_vocab(60, 1)
-        cfg = GenerationConfig(seed=0, hops=2, max_len=16)
-        for task in ("khn", "lcc", "iva"):
+        # path inputs are four tokens: [SP|IP] e_i r e_j
+        for task, max_len in (("khn", 16), ("lcc", 16), ("iva", 16), ("sp", 3), ("ip", 3)):
+            cfg = GenerationConfig(seed=0, hops=2, max_len=max_len)
             recs = generate_task_records(g, v, task, cfg).records
             assert recs
-            clipped = [r for r in recs if len(r.input_tokens) == 16]
+            clipped = [r for r in recs if len(r.input_tokens) == max_len]
             assert clipped
             for r in recs:
-                assert len(r.input_tokens) <= 16
+                assert len(r.input_tokens) <= max_len
             for r in clipped:
                 assert "clipped" in r.flags
 
@@ -335,8 +334,34 @@ class TestWorkers:
         assert base.skipped == multi.skipped
 
 
-def test_build_queries_counts():
-    g = build_index([Fact(0, (0, 1)), Fact(1, (0, 1, 2))], 3, 2)
-    qs = build_queries(g)
-    assert len(qs) == 2 + 3
-    assert all(q.answer == q.entities[q.masked_index] for q in qs)
+def test_path_items_cover_every_ordered_position_pair():
+    # fact 1 duplicates fact 0; fact 2 has arity 3
+    g = build_index([Fact(0, (0, 1)), Fact(0, (0, 1)), Fact(1, (0, 1, 2))], 3, 2)
+    v = make_vocab(3, 2)
+    recs = generate_task_records(g, v, "sp", GenerationConfig(seed=0)).records
+    items = {r.provenance.rsplit(":", 1)[0] for r in recs}
+    assert items == {
+        f"f{i:08d}:m{m:02d}:p{p:02d}"
+        for i, f in enumerate(g.facts)
+        for m in range(f.arity)
+        for p in range(f.arity)
+        if p != m
+    }
+    for r in recs:
+        i, m, p = (int(x[1:]) for x in r.provenance.split(":")[:3])
+        f = g.facts[i]
+        assert r.input_tokens == [
+            v.special_token("[SP]"), v.entity_token(f.entities[m]),
+            v.relation_token(f.relation), v.entity_token(f.entities[p]),
+        ]
+
+    def targets(i, m, p):
+        prefix = f"f{i:08d}:m{m:02d}:p{p:02d}:"
+        return sorted(r.target for r in recs if r.provenance.startswith(prefix))
+
+    r0, r1, eos = v.relation_token(0), v.relation_token(1), v.special_token("[EOS]")
+    # each copy of the duplicate excludes only itself: the other copy
+    # still joins 0 and 1 in one hop, as does the arity-3 fact
+    for i in (0, 1):
+        assert targets(i, 0, 1) == targets(i, 1, 0) == [[r0, eos], [r1, eos]]
+    assert targets(2, 0, 1) == [[r0, eos]]

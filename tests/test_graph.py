@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from kgsignals.graph import (
     Fact,
     MalformedTupleError,
-    Query,
     UnknownIdError,
     build_index,
 )
@@ -84,13 +83,6 @@ def test_self_loop_set_semantics():
 def test_isolated_entity():
     g = build_index([Fact(0, (0, 1))], num_entities=3, num_relations=1)
     assert g.neighbors(2) == frozenset()
-
-
-def test_query_masking():
-    q = Query(relation=0, entities=(3, 4, 5), masked_index=1)
-    assert q.answer == 4
-    with pytest.raises(ValueError):
-        Query(relation=0, entities=(3, 4), masked_index=2)
 
 
 @pytest.mark.parametrize("seed", range(10))
