@@ -3,10 +3,17 @@
 Exit codes: 0 success, 1 usage error, 2 data error (bad input file),
 3 invariant violation: a corpus breaks the record contract of
 ``corpus.check_corpus``, found by ``verify`` or refused by ``generate``
-or ``mix``, which check every corpus before writing it. Progress goes
+or ``mix``, which check every record before writing it. Progress goes
 to stderr, machine-readable output to stdout. Flag precedence: command line >
 config file (``--config``, JSON) > built-in defaults; the effective
 configuration is embedded in every corpus header.
+
+``generate`` checks and serializes each record in the worker that built
+it and holds one task's lines at a time; ``all.jsonl`` is copied from
+the task files by byte offset. Every file is written under a temporary
+name and renamed into place only when all of them have passed the
+check, so a failed run writes no corpus. ``mix`` checks each
+input record as it reads it, naming the input file.
 """
 
 from __future__ import annotations
@@ -17,7 +24,10 @@ import logging
 import os
 import sys
 import time
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import fields
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -25,13 +35,20 @@ from .corpus import (
     CorpusInvariantError,
     EmptyCorpusError,
     GenerationConfig,
-    TaskRecord,
     TASKS,
+    WrittenCorpus,
+    check_and_serialize,
     check_corpus,
+    check_record,
+    check_totals,
     corpus_header,
     generate_task_records,
     mix_multitask,
+    mixture_lines,
     read_corpus,
+    record_bounds,
+    unit_weight_lines,
+    weightless_prefix,
     write_corpus,
 )
 from .graph import Fact, GraphError, build_index
@@ -218,10 +235,26 @@ def _corpus_meta(cfg: GenerationConfig, vocab: Vocabulary, alpha: dict | None) -
     }
 
 
-def _write_checked(records: list[TaskRecord], path, meta: dict) -> None:
-    """Write a corpus only if it passes the check that ``verify`` runs."""
-    check_corpus(f"{path} (not written)", corpus_header(records, meta), records)
-    write_corpus(records, path, meta)
+@contextmanager
+def _staged_writes():
+    """Yield ``stage(path)``, which names a temporary file next to
+    ``path`` to write instead. On a normal exit every staged file is
+    renamed to its path; on any error none is, and all are removed."""
+    staged: list[tuple[Path, Path]] = []
+
+    def stage(path: Path) -> Path:
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        staged.append((tmp, path))
+        return tmp
+
+    try:
+        yield stage
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_generate(args) -> int:
@@ -238,65 +271,83 @@ def cmd_generate(args) -> int:
     out = _outdir(args)
     workers = args.workers if args.workers and args.workers > 0 else (os.cpu_count() or 1)
     tasks = list(TASKS) if args.task == "all" else [args.task]
-    per_task: dict[str, list[TaskRecord]] = {}
+    meta = _corpus_meta(cfg, vocab, None)
     index = None
-    for task in tasks:
-        t0 = time.monotonic()
-        if task in ("khn", "iva", "lcc") and index is None:
-            index = NeighborhoodIndex(g, cfg.hops)
-        result = generate_task_records(g, vocab, task, cfg, workers=workers, index=index)
-        log.info(
-            "%s: %d records (%d skipped) in %.1fs",
-            task, len(result.records), result.skipped, time.monotonic() - t0,
-        )
-        if not result.records:
-            log.warning("%s: empty corpus", task)
-        result.records.sort(key=lambda r: r.provenance)
-        for r in result.records:
-            r.weight = 1.0
-        per_task[task] = result.records
-        _write_checked(result.records, out / f"{task}.jsonl", _corpus_meta(cfg, vocab, None))
-    if args.task == "all":
-        try:
-            stream, plan = mix_multitask(per_task, cfg.seed)
-        except EmptyCorpusError:
-            log.warning("all tasks empty; skipping mixture")
-            return EXIT_OK
-        _write_checked(stream, out / "all.jsonl", _corpus_meta(cfg, vocab, plan.alpha))
-        (out / "mixplan.json").write_text(
-            json.dumps({"sizes": plan.sizes, "alpha": plan.alpha, "seed": plan.seed}, sort_keys=True, indent=2)
-            + "\n"
-        )
+    with _staged_writes() as stage, ExitStack() as opened:
+        written: dict[str, WrittenCorpus] = {}
+        for task in tasks:
+            t0 = time.monotonic()
+            if task in ("khn", "iva", "lcc") and index is None:
+                index = NeighborhoodIndex(g, cfg.hops)
+            path = out / f"{task}.jsonl"
+            label = f"{path} (not written)"
+            finish = partial(check_and_serialize, label, record_bounds(label, meta))
+            result = generate_task_records(g, vocab, task, cfg, workers=workers, index=index, finish=finish)
+            log.info(
+                "%s: %d records (%d skipped) in %.1fs",
+                task, len(result.records), result.skipped, time.monotonic() - t0,
+            )
+            if not result.records:
+                log.warning("%s: empty corpus", task)
+            result.records.sort(key=itemgetter(0))  # provenance order
+            prefixes = [prefix for _, prefix in result.records]
+            del result
+            header = corpus_header({task: len(prefixes)} if prefixes else {}, meta)
+            tmp = stage(path)
+            offsets = write_corpus(tmp, header, unit_weight_lines(prefixes))
+            if args.task == "all":
+                written[task] = opened.enter_context(closing(WrittenCorpus(tmp, offsets)))
+        if args.task == "all":
+            try:
+                order, plan = mix_multitask(written, cfg.seed)
+            except EmptyCorpusError:
+                log.warning("all tasks empty; skipping mixture")
+                return EXIT_OK
+            path = out / "all.jsonl"
+            header = corpus_header(plan.sizes, _corpus_meta(cfg, vocab, plan.alpha))
+            check_totals(f"{path} (not written)", header, plan.sizes)
+            write_corpus(stage(path), header, mixture_lines(written, order, plan.alpha))
+            stage(out / "mixplan.json").write_text(
+                json.dumps({"sizes": plan.sizes, "alpha": plan.alpha, "seed": plan.seed}, sort_keys=True, indent=2)
+                + "\n"
+            )
     return EXIT_OK
 
 
 def cmd_mix(args) -> int:
-    per_task: dict[str, list[TaskRecord]] = {}
-    header = first = None
+    prefixes: dict[str, list[str]] = {}
+    meta = bounds = first = None
     for path in args.corpora:
         h, records = read_corpus(path)
-        if header is None:
-            header, first = h, path
-        elif h.get("vocab_hash") != header.get("vocab_hash"):
+        if meta is None:
+            # the output carries this header's config and vocabulary
+            first = path
+            meta = dict(h)
+            meta.pop("counts", None)
+            bounds = record_bounds(path, meta)
+        elif h.get("vocab_hash") != meta.get("vocab_hash"):
             # token ids of different vocabularies mean different things
             raise corpus_mod.CorpusFormatError(
                 f"{path}:1: vocab_hash {h.get('vocab_hash')} differs from "
-                f"{header.get('vocab_hash')} of {first}; "
+                f"{meta.get('vocab_hash')} of {first}; "
                 "corpora of different vocabularies cannot be mixed"
             )
-        for r in records:
+        for i, r in enumerate(records):
+            check_record(path, i, bounds, r)
             r.weight = None
-            per_task.setdefault(r.task, []).append(r)
+            prefixes.setdefault(r.task, []).append(weightless_prefix(r))
     try:
-        stream, plan = mix_multitask(per_task, args.seed)
+        order, plan = mix_multitask(prefixes, args.seed)
     except EmptyCorpusError as exc:
         raise ParseError(str(exc)) from exc
-    meta = dict(header or {})
-    meta.pop("counts", None)
     meta["seed"] = args.seed
     meta["alpha"] = plan.alpha
     meta["uniform_weights"] = False
-    _write_checked(stream, args.out, meta)
+    out = Path(args.out)
+    header = corpus_header(plan.sizes, meta)
+    check_totals(f"{out} (not written)", header, plan.sizes)
+    with _staged_writes() as stage:
+        write_corpus(stage(out), header, mixture_lines(prefixes, order, plan.alpha))
     print(json.dumps({"sizes": plan.sizes, "alpha": plan.alpha}, sort_keys=True))
     return EXIT_OK
 

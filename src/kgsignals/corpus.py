@@ -9,6 +9,15 @@ binary labels for matrix equivalence and scalars for clustering.
 Generation is a pure function of (graph, config, seed). The optional
 worker pool chunks work items and merges results in item order, so the
 output bytes are identical for any worker count.
+
+Writing a corpus serializes each record once, in the process that built
+it: :func:`check_and_serialize` runs the per-record part of the record
+contract (:func:`check_record`, the code ``verify`` runs) and returns the
+record's weightless prefix, its line up to ``"weight":``. Sorted keys
+put the weight last, so a line is that prefix, the weight and ``}``.
+A task corpus is written at unit weight by :func:`write_corpus`, which
+returns every line's byte offset; :class:`WrittenCorpus` reads the
+prefixes back by offset, so the mixture never serializes a record again.
 """
 
 from __future__ import annotations
@@ -16,7 +25,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import random
+from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Sized
 from dataclasses import dataclass, fields, asdict
 from functools import partial
 from pathlib import Path
@@ -142,7 +154,7 @@ class TaskRecord:
 
 @dataclass
 class GenerationResult:
-    records: list[TaskRecord]
+    records: list  # TaskRecords, or what ``finish`` made of them
     skipped: int = 0
 
 
@@ -320,30 +332,44 @@ _CHUNK_FNS = {
 _POOL_STATE: dict | None = None
 
 
+def _run_chunk(task: str, state: dict, items: list) -> GenerationResult:
+    result = _CHUNK_FNS[task](state, items)
+    if state["finish"] is not None:
+        result.records = state["finish"](result.records)
+    return result
+
+
 def _pool_run(args: tuple[str, list]) -> GenerationResult:
     task, chunk = args
     assert _POOL_STATE is not None
-    return _CHUNK_FNS[task](_POOL_STATE, chunk)
+    return _run_chunk(task, _POOL_STATE, chunk)
 
 
 def _run_chunks(task: str, state: dict, items: list, workers: int) -> GenerationResult:
-    if workers <= 1 or len(items) < 64:
-        return _CHUNK_FNS[task](state, items)
-    import multiprocessing as mp
-
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:
-        return _CHUNK_FNS[task](state, items)
-    chunk_size = max(1, math.ceil(len(items) / (workers * 4)))
+    """Run ``items`` in chunks, four per worker, and merge the results in
+    item order. With one worker, or too few items to share, the chunks
+    run one after another in this process, so that only one chunk's
+    records exist at a time when ``finish`` serializes them."""
+    chunk_size = max(1, math.ceil(len(items) / (max(workers, 1) * 4)))
     chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-    global _POOL_STATE
-    _POOL_STATE = state
-    try:
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_pool_run, [(task, c) for c in chunks])
-    finally:
-        _POOL_STATE = None
+    ctx = None
+    if workers > 1 and len(items) >= 64:
+        import multiprocessing as mp
+
+        try:
+            ctx = mp.get_context("fork")
+        except ValueError:
+            pass
+    if ctx is None:
+        results = [_run_chunk(task, state, c) for c in chunks]
+    else:
+        global _POOL_STATE
+        _POOL_STATE = state
+        try:
+            with ctx.Pool(workers) as pool:
+                results = pool.map(_pool_run, [(task, c) for c in chunks])
+        finally:
+            _POOL_STATE = None
     merged = GenerationResult([])
     for r in results:
         merged.records.extend(r.records)
@@ -358,14 +384,18 @@ def generate_task_records(
     cfg: GenerationConfig,
     workers: int = 1,
     index: NeighborhoodIndex | None = None,
+    finish=None,
 ) -> GenerationResult:
     """Generate all records for one task. Deterministic under the config
     seed and independent of ``workers``. A prebuilt ``index`` (from
     ``NeighborhoodIndex(g, cfg.hops)``) may be shared across the
-    neighborhood-based tasks."""
+    neighborhood-based tasks. ``finish``, when given, maps each chunk's
+    record list to one item per record in the process that built the
+    chunk, such as :func:`check_and_serialize`; ``records`` then holds
+    those items, in the same order."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    state: dict = {"g": g, "vocab": vocab, "cfg": cfg}
+    state: dict = {"g": g, "vocab": vocab, "cfg": cfg, "finish": finish}
     if task in ("sp", "ip"):
         pcfg = state["pcfg"] = cfg.path_config()
         if task == "ip":
@@ -396,37 +426,31 @@ def generate_task_records(
 
 
 def mix_multitask(
-    task_lists: dict[str, list[TaskRecord]], seed: int
-) -> tuple[list[TaskRecord], MixPlan]:
-    """Interleave per-task records into one stream.
+    task_lists: Mapping[str, Sized], seed: int
+) -> tuple[list[tuple[str, int]], MixPlan]:
+    """Interleave per-task records into one stream, as (task, index into
+    ``task_lists[task]``) pairs; only the list lengths are read.
 
     Drawing the next record by choosing a task with probability
     proportional to its remaining records and then a uniform record
     within that task, without replacement, is exactly a uniform random
-    permutation of the union; implemented as a seeded shuffle. Weights
-    are the per-task dataset-size fractions.
+    permutation of the union; implemented as a seeded shuffle of the
+    records concatenated in sorted task order. Weights are the per-task
+    dataset-size fractions.
     """
-    sizes = {t: len(rs) for t, rs in task_lists.items() if rs}
+    sizes = {t: len(rs) for t, rs in task_lists.items() if len(rs)}
     total = sum(sizes.values())
     if total == 0:
         raise EmptyCorpusError("all task record lists are empty")
     alpha = {t: n / total for t, n in sizes.items()}
-    stream: list[TaskRecord] = []
-    for t in sorted(task_lists):
-        for rec in task_lists[t]:
-            rec.weight = alpha[rec.task]
-            stream.append(rec)
-    rng = random.Random(f"{seed}:mix")
-    rng.shuffle(stream)
-    return stream, MixPlan(sizes=sizes, alpha=alpha, seed=seed)
+    order = [(t, i) for t in sorted(sizes) for i in range(sizes[t])]
+    random.Random(f"{seed}:mix").shuffle(order)  # its draws depend only on len(order)
+    return order, MixPlan(sizes=sizes, alpha=alpha, seed=seed)
 
 
-def corpus_header(records: list[TaskRecord], meta: dict) -> dict:
+def corpus_header(counts: dict[str, int], meta: dict) -> dict:
     """The header line of a corpus: ``meta`` plus the format, the version
     and the per-task record counts."""
-    counts: dict[str, int] = {}
-    for r in records:
-        counts[r.task] = counts.get(r.task, 0) + 1
     header = dict(meta)
     header.setdefault("format", FORMAT_NAME)
     header.setdefault("version", FORMAT_VERSION)
@@ -434,11 +458,72 @@ def corpus_header(records: list[TaskRecord], meta: dict) -> dict:
     return header
 
 
-def write_corpus(records: list[TaskRecord], path: str | Path, meta: dict) -> None:
-    """Write the header line followed by one record per line."""
-    lines = [json.dumps(corpus_header(records, meta), sort_keys=True, separators=(",", ":"))]
-    lines.extend(r.to_json() for r in records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+# a corpus line is a weightless prefix followed by one of these tails
+_NO_WEIGHT = "null}"
+_UNIT_WEIGHT = "1.0}"
+
+
+def weightless_prefix(r: TaskRecord) -> str:
+    """``r.to_json()`` of a record whose weight is None, up to and
+    including ``"weight":``, the last key."""
+    return r.to_json()[: -len(_NO_WEIGHT)]
+
+
+def check_and_serialize(path: str, bounds: RecordBounds, records: list[TaskRecord]) -> list[tuple[str, str]]:
+    """Check each record of a freshly built chunk against ``bounds``,
+    naming it by provenance, then serialize it once: (provenance,
+    weightless prefix) pairs. Runs in the process that built the chunk."""
+    for r in records:
+        check_record(path, r.provenance, bounds, r)
+    return [(r.provenance, weightless_prefix(r)) for r in records]
+
+
+def write_corpus(path: str | Path, header: dict, lines: Iterable[str]) -> array:
+    """Write the header line followed by one line per item of ``lines``.
+    Returns the byte offset at which each record line starts, followed
+    by the file's length."""
+    offsets = array("q")
+    with open(path, "wb") as fh:
+        pos = fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        for line in lines:
+            offsets.append(pos)
+            pos += fh.write(line.encode() + b"\n")
+        offsets.append(pos)
+    return offsets
+
+
+def unit_weight_lines(prefixes: Iterable[str]) -> Iterator[str]:
+    """The lines of a task corpus, every record at weight 1.0."""
+    return (p + _UNIT_WEIGHT for p in prefixes)
+
+
+def mixture_lines(
+    prefixes: Mapping[str, Sequence[str]], order: Iterable[tuple[str, int]], alpha: dict[str, float]
+) -> Iterator[str]:
+    """The lines of a mixture: record ``i`` of task ``t`` for each (t, i)
+    of ``order``, at weight ``alpha[t]``."""
+    tails = {t: json.dumps(a) + "}" for t, a in alpha.items()}
+    return (prefixes[t][i] + tails[t] for t, i in order)
+
+
+class WrittenCorpus(Sequence):
+    """The weightless prefixes of a corpus that :func:`write_corpus` wrote
+    at unit weight, read back from the file by the offsets it returned."""
+
+    def __init__(self, path: str | Path, offsets: array) -> None:
+        self._offsets = offsets
+        with open(path, "rb") as fh:
+            self._map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, i: int) -> str:
+        # the line without its unit-weight tail and newline
+        return self._map[self._offsets[i] : self._offsets[i + 1] - len(_UNIT_WEIGHT) - 1].decode()
+
+    def close(self) -> None:
+        self._map.close()
 
 
 def _header_int(section: dict, key: str, default: int) -> int:
@@ -448,18 +533,24 @@ def _header_int(section: dict, key: str, default: int) -> int:
     return value
 
 
-def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> None:
-    """Raise :class:`CorpusInvariantError`, naming ``path``, unless the
-    header and records keep the record contract.
+@dataclass(frozen=True)
+class RecordBounds:
+    """What a corpus header allows its records: token ranges, the input
+    and path lengths and the scalar range."""
 
-    Every input starts with its task token and fits ``config.max_len``.
-    A token target is [NO_PATH] or at most ``config.max_hops`` distinct
-    relation tokens and [EOS]. A dist target is entity tokens with
-    non-negative probabilities summing to 1. A label is 0 or 1. A scalar
-    lies in [0, 1], or is finite and >= 0 when ``config.lcc_weighted``.
-    The header counts match the records; with ``alpha``, the weights sum
-    to 1 and each record's weight is its task's.
-    """
+    ent_lo: int
+    ent_hi: int
+    rel_lo: int
+    rel_hi: int
+    max_len: int
+    max_hops: int
+    scalar_hi: float
+    scalar_range: str
+
+
+def record_bounds(path: str | Path, header: dict) -> RecordBounds:
+    """The bounds ``header`` sets; a malformed header raises
+    :class:`CorpusInvariantError` naming ``path``."""
     try:
         sizes = header.get("vocab_sizes") or {}
         n_special = _header_int(sizes, "specials", len(SPECIAL_TOKENS))
@@ -473,62 +564,81 @@ def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> N
             raise TypeError(f"lcc_weighted must be a bool, got {lcc_weighted!r}")
     except (AttributeError, TypeError) as exc:
         raise CorpusInvariantError(f"{path}: malformed header: {exc}") from exc
-    ent_lo, ent_hi = n_special, n_special + n_ent
-    rel_lo, rel_hi = ent_hi, ent_hi + n_rel
+    ent_hi = n_special + n_ent
     scalar_hi, scalar_range = (math.inf, "[0, inf)") if lcc_weighted else (1.0, "[0, 1]")
-    no_path = SPECIAL_TOKENS.index("[NO_PATH]")
-    eos = SPECIAL_TOKENS.index("[EOS]")
-    counts: dict[str, int] = {}
+    return RecordBounds(n_special, ent_hi, ent_hi, ent_hi + n_rel, max_len, max_hops, scalar_hi, scalar_range)
 
-    def fail(i: int, msg: str):
-        raise CorpusInvariantError(f"{path}: record {i}: {msg}")
 
+_NO_PATH = SPECIAL_TOKENS.index("[NO_PATH]")
+_EOS = SPECIAL_TOKENS.index("[EOS]")
+
+
+def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
+    if r.task not in TASKS:
+        return f"unknown task {r.task!r}"
+    if not r.input_tokens:
+        return "empty input"
+    if r.input_tokens[0] != SPECIAL_TOKENS.index(TASK_TOKENS[r.task]):
+        return "input does not start with its task token"
+    if len(r.input_tokens) > b.max_len:
+        return f"input length {len(r.input_tokens)} exceeds {b.max_len}"
+    if r.target_kind == "tokens":
+        t = r.target
+        if t != [_NO_PATH]:
+            if not t or t[-1] != _EOS:
+                return "token target does not end with the end sentinel"
+            body = t[:-1]
+            if len(body) > b.max_hops:
+                return f"path length {len(body)} exceeds {b.max_hops}"
+            if len(set(body)) != len(body):
+                return "repeated relation on path"
+            for tok in body:
+                if not b.rel_lo <= tok < b.rel_hi:
+                    return f"token {tok} is not a relation token"
+    elif r.target_kind == "dist":
+        total = sum(p for _, p in r.target)
+        if abs(total - 1.0) > 1e-9:
+            return f"distribution sums to {total}"
+        for tok, p in r.target:
+            if p < 0:
+                return "negative probability"
+            if not b.ent_lo <= tok < b.ent_hi:
+                return f"token {tok} is not an entity token"
+    elif r.target_kind == "scalar":
+        value = float(r.target)
+        if not (0.0 <= value <= b.scalar_hi and math.isfinite(value)):
+            return f"scalar target {r.target} outside {b.scalar_range}"
+    elif r.target_kind == "label":
+        if r.target not in (0, 1):
+            return f"label target {r.target} not binary"
+    else:
+        return f"unknown target kind {r.target_kind!r}"
+    return None
+
+
+def check_record(path: str | Path, label: object, bounds: RecordBounds, r: TaskRecord) -> None:
+    """Raise :class:`CorpusInvariantError`, naming ``path: record
+    <label>``, unless ``r`` keeps the per-record part of the contract.
+
+    The input starts with its task token and fits ``max_len``. A token
+    target is [NO_PATH] or at most ``max_hops`` distinct relation tokens
+    and [EOS]. A dist target is entity tokens with non-negative
+    probabilities summing to 1. A label is 0 or 1. A scalar lies in
+    [0, 1], or is finite and >= 0 when ``config.lcc_weighted``.
+    """
     try:
-        for i, r in enumerate(records):
-            counts[r.task] = counts.get(r.task, 0) + 1
-            if r.task not in TASKS:
-                fail(i, f"unknown task {r.task!r}")
-            if not r.input_tokens:
-                fail(i, "empty input")
-            if r.input_tokens[0] != SPECIAL_TOKENS.index(TASK_TOKENS[r.task]):
-                fail(i, "input does not start with its task token")
-            if len(r.input_tokens) > max_len:
-                fail(i, f"input length {len(r.input_tokens)} exceeds {max_len}")
-            if r.target_kind == "tokens":
-                t = r.target
-                if t != [no_path]:
-                    if not t or t[-1] != eos:
-                        fail(i, "token target does not end with the end sentinel")
-                    body = t[:-1]
-                    if len(body) > max_hops:
-                        fail(i, f"path length {len(body)} exceeds {max_hops}")
-                    if len(set(body)) != len(body):
-                        fail(i, "repeated relation on path")
-                    for tok in body:
-                        if not rel_lo <= tok < rel_hi:
-                            fail(i, f"token {tok} is not a relation token")
-            elif r.target_kind == "dist":
-                total = sum(p for _, p in r.target)
-                if abs(total - 1.0) > 1e-9:
-                    fail(i, f"distribution sums to {total}")
-                for tok, p in r.target:
-                    if p < 0:
-                        fail(i, "negative probability")
-                    if not ent_lo <= tok < ent_hi:
-                        fail(i, f"token {tok} is not an entity token")
-            elif r.target_kind == "scalar":
-                value = float(r.target)
-                if not (0.0 <= value <= scalar_hi and math.isfinite(value)):
-                    fail(i, f"scalar target {r.target} outside {scalar_range}")
-            elif r.target_kind == "label":
-                if r.target not in (0, 1):
-                    fail(i, f"label target {r.target} not binary")
-            else:
-                fail(i, f"unknown target kind {r.target_kind!r}")
+        problem = _record_problem(bounds, r)
     except (TypeError, ValueError) as exc:
         # a field of the wrong shape, such as a dist target that is not
         # a list of pairs or a scalar that is not a number
-        fail(i, f"malformed record: {exc}")
+        problem = f"malformed record: {exc}"
+    if problem is not None:
+        raise CorpusInvariantError(f"{path}: record {label}: {problem}")
+
+
+def check_totals(path: str | Path, header: dict, counts: dict[str, int]) -> None:
+    """The totals part of the contract: the header counts are the actual
+    per-task ``counts`` and, with ``alpha``, the task weights sum to 1."""
     if header.get("counts") != counts:
         raise CorpusInvariantError(f"{path}: header counts {header.get('counts')} != actual {counts}")
     alpha = header.get("alpha")
@@ -539,6 +649,22 @@ def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> N
             raise CorpusInvariantError(f"{path}: malformed task weights: {exc}") from exc
         if abs(total - 1.0) > 1e-12:
             raise CorpusInvariantError(f"{path}: task weights sum to {total}")
+
+
+def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> None:
+    """Raise :class:`CorpusInvariantError`, naming ``path``, unless the
+    header and records keep the record contract: every record passes
+    :func:`check_record` under the header's bounds, the totals pass
+    :func:`check_totals`, and with ``alpha`` each record's weight is its
+    task's."""
+    bounds = record_bounds(path, header)
+    counts: dict[str, int] = {}
+    for i, r in enumerate(records):
+        check_record(path, i, bounds, r)
+        counts[r.task] = counts.get(r.task, 0) + 1
+    check_totals(path, header, counts)
+    alpha = header.get("alpha")
+    if alpha is not None:
         for i, r in enumerate(records):
             if r.weight != alpha.get(r.task):
                 raise CorpusInvariantError(f"{path}: record {i}: weight {r.weight} != alpha[{r.task}]")

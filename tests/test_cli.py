@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
+from kgsignals import corpus as corpus_mod
 from kgsignals.cli import main
-from kgsignals.corpus import read_corpus
+from kgsignals.corpus import GenerationResult, TaskRecord, read_corpus
 
 TRIPLES = """\
 alice\tknows\tbob
@@ -112,6 +114,50 @@ def test_data_errors_exit_2(ingested, tmp_path, capsys):
     assert list(out.glob("*.jsonl")) == []
 
 
+@pytest.fixture
+def wide(tmp_path):
+    """An ingested random graph with enough facts and entities (>= 64
+    work items per task) that a worker pool splits every task."""
+    rng = random.Random(5)
+    lines = [f"e{rng.randrange(90)}\tr{rng.randrange(4)}\te{rng.randrange(90)}" for _ in range(160)]
+    train = tmp_path / "wide.tsv"
+    train.write_text("\n".join(lines) + "\n")
+    data = tmp_path / "wide_data"
+    assert main(["ingest", "--train", str(train), "--out", str(data)]) == 0
+    return data
+
+
+def test_generate_all_is_byte_identical_across_worker_counts(wide, tmp_path):
+    outs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert main(["generate", "all", "--data", str(wide), "--out", str(out),
+                     "--seed", "4", "--workers", str(workers)]) == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outs[0]) == ["all.jsonl", "ip.jsonl", "iva.jsonl", "khn.jsonl", "lcc.jsonl",
+                               "mixplan.json", "sp.jsonl"]
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_generate_leaves_no_file(wide, tmp_path, capsys, monkeypatch, workers):
+    def bad_ip_chunk(state, items):
+        # an ip record whose input does not start with the [IP] token
+        return GenerationResult([TaskRecord("ip", [0], "tokens", [0], "f00000000:m00:p01:x0000")])
+
+    monkeypatch.setitem(corpus_mod._CHUNK_FNS, "ip", bad_ip_chunk)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    # sp is written before ip fails
+    assert main(["generate", "all", "--data", str(wide), "--out", str(out),
+                 "--seed", "1", "--workers", str(workers)]) == 3
+    err = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("INFO")]
+    assert len(err) == 1, err
+    assert (f"{out / 'ip.jsonl'} (not written): record f00000000:m00:p01:x0000: "
+            "input does not start with its task token") in err[0]
+    assert list(out.iterdir()) == []
+
+
 def test_corrupted_corpus_exit_3(ingested, tmp_path):
     out = tmp_path / "c"
     assert main(["generate", "sp", "--data", str(ingested), "--out", str(out),
@@ -137,7 +183,7 @@ def _header(section, key, value):
 # A record that is not an object or has a field of the wrong shape is a
 # data error when read. A header or record that reads but breaks the
 # record contract is an invariant violation: verify finds it, and mix
-# refuses to write the mixture.
+# refuses to write the mixture. Both name the corpus that holds it.
 MALFORMED = [
     pytest.param("khn", 1, lambda r: [1, 2], 2, 2, id="record_not_object"),
     pytest.param("khn", 1, _target("dist", [1]), 2, 2, id="dist_target_not_pairs"),
@@ -162,9 +208,8 @@ def test_malformed_record_exits_with_one_line(
     lines[line] = json.dumps(mutate(json.loads(lines[line])))
     path.write_text("\n".join(lines) + "\n")
     mixed = tmp_path / "mixed.jsonl"
-    for argv, rc, named in ((["verify", str(path)], verify_rc, f"{path}"),
-                            (["mix", str(path), "--seed", "1", "--out", str(mixed)], mix_rc,
-                             f"{mixed} (not written)")):
+    for argv, rc in ((["verify", str(path)], verify_rc),
+                     (["mix", str(path), "--seed", "1", "--out", str(mixed)], mix_rc)):
         capsys.readouterr()
         assert main(argv) == rc, argv
         err = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("INFO")]
@@ -175,10 +220,11 @@ def test_malformed_record_exits_with_one_line(
         if rc == 2:
             assert f"{path}:2:" in err[0]
         elif line == 0:
-            assert f"{named}: malformed header: " in err[0]
+            assert f"{path}: malformed header: " in err[0]
         else:
-            assert f"{named}: record " in err[0]
+            assert f"{path}: record {line - 1}: " in err[0]
     assert mixed.exists() == (mix_rc == 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "data", "train.tsv"]
 
 
 def _config(tmp_path, **values):

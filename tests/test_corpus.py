@@ -1,4 +1,7 @@
+import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,17 +11,25 @@ from kgsignals.adjacency import AdjacencyMatrix, flatten_adjacency
 from kgsignals.corpus import (
     EmptyCorpusError,
     CorpusFormatError,
+    CorpusInvariantError,
     GenerationConfig,
     TaskRecord,
+    WrittenCorpus,
     _flatten_tokens,
     _khn_lcc_input,
+    check_and_serialize,
+    corpus_header,
     generate_task_records,
     mix_multitask,
+    mixture_lines,
     read_corpus,
+    record_bounds,
+    unit_weight_lines,
+    weightless_prefix,
     write_corpus,
 )
 from kgsignals.graph import Fact, build_index
-from kgsignals.ingest import TASK_TOKENS, VocabBuilder
+from kgsignals.ingest import SPECIAL_TOKENS, TASK_TOKENS, VocabBuilder
 
 from oracles import random_graph
 
@@ -232,20 +243,25 @@ class TestMix:
         assert plan.alpha["sp"] == pytest.approx(0.25)
         assert plan.alpha["khn"] == pytest.approx(0.75)
         assert abs(sum(plan.alpha.values()) - 1.0) < 1e-12
-        for r in stream:
+        # the stream is (task, index) pairs; a mixture line takes its
+        # weight from its task
+        prefixes = {t: [weightless_prefix(r) for r in rs] for t, rs in lists.items()}
+        for (t, i), line in zip(stream, mixture_lines(prefixes, stream, plan.alpha)):
+            r = TaskRecord.from_json(line)
+            assert r.provenance == lists[t][i].provenance
             assert r.weight == plan.alpha[r.task]
 
     def test_permutation_of_union(self):
         lists = {"sp": self.fake_records("sp", 40), "lcc": self.fake_records("lcc", 25)}
         stream, _ = mix_multitask(lists, seed=3)
-        assert sorted(r.provenance for r in stream) == sorted(
+        assert sorted(lists[t][i].provenance for t, i in stream) == sorted(
             r.provenance for rs in lists.values() for r in rs
         )
 
     def test_seeded_and_shuffled(self):
         def build(seed):
             lists = {"sp": self.fake_records("sp", 50), "ip": self.fake_records("ip", 50)}
-            return [r.provenance for r in mix_multitask(lists, seed=seed)[0]]
+            return [lists[t][i].provenance for t, i in mix_multitask(lists, seed=seed)[0]]
 
         assert build(7) == build(7)
         assert build(7) != build(8)
@@ -254,6 +270,93 @@ class TestMix:
     def test_empty_raises(self):
         with pytest.raises(EmptyCorpusError):
             mix_multitask({"sp": [], "ip": []}, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    def test_order_is_the_shuffle_of_the_concatenated_records(self, seed):
+        # uneven sizes, one empty task, tasks not given in sorted order
+        lists = {"lcc": self.fake_records("lcc", 7), "sp": self.fake_records("sp", 3),
+                 "ip": [], "khn": self.fake_records("khn", 12), "iva": self.fake_records("iva", 1)}
+        order, plan = mix_multitask(lists, seed=seed)
+        stream = [r for t in sorted(lists) for r in lists[t]]
+        random.Random(f"{seed}:mix").shuffle(stream)
+        assert [lists[t][i].provenance for t, i in order] == [r.provenance for r in stream]
+        assert plan.sizes == {"lcc": 7, "sp": 3, "khn": 12, "iva": 1}
+
+
+def write_records(recs, path, meta):
+    """Write ``recs`` with their own weights, as one corpus."""
+    write_corpus(path, corpus_header(dict(Counter(r.task for r in recs)), meta), (r.to_json() for r in recs))
+
+
+class TestStreamedWriter:
+    """The corpus writer serializes each record once, without its weight,
+    and appends the weight per file. The oracle is ``to_json`` of the
+    record at that weight."""
+
+    def records(self):
+        v = make_vocab(6, 4)
+        sp, khn, iva, lcc = (v.special_token(TASK_TOKENS[t]) for t in ("sp", "khn", "iva", "lcc"))
+        e, r = v.entity_token, v.relation_token
+        no_path, eos = v.special_token("[NO_PATH]"), v.special_token("[EOS]")
+        return v, {
+            "sp": [
+                TaskRecord("sp", [sp, e(0), r(1)], "tokens", [r(3), r(0), eos], "f00000001:m00:p01:x0000",
+                           flags=("clipped",)),
+                TaskRecord("sp", [sp, e(0), r(1), e(2)], "tokens", [no_path], "f00000000:m01:p00:x0000"),
+            ],
+            "khn": [
+                TaskRecord("khn", [khn, e(1), v.special_token("[SEP]")], "dist",
+                           [(e(2), 0.1), (e(3), 0.2), (e(5), 0.7)], "c00000001:h1"),
+            ],
+            "iva": [
+                TaskRecord("iva", [iva, e(1), v.value_base + 64], "label", 1, "c00000001:identity",
+                           flags=("clamped", "clipped")),
+                TaskRecord("iva", [iva, e(2)], "label", 0, "c00000002:value_resample", flags=("clamped",)),
+            ],
+            "lcc": [TaskRecord("lcc", [lcc, e(4)], "scalar", 1 / 3, "c00000004:h2")],
+        }
+
+    def test_lines_equal_to_json_at_their_weight(self, tmp_path):
+        v, lists = self.records()
+        meta = {"vocab_sizes": {"specials": len(SPECIAL_TOKENS), "entities": 6, "relations": 4},
+                "config": GenerationConfig(seed=0, max_len=4).as_dict()}
+        written = {}
+        for task, recs in lists.items():
+            bounds = record_bounds("x", meta)
+            pairs = sorted(check_and_serialize("x", bounds, recs), key=lambda pair: pair[0])
+            path = tmp_path / f"{task}.jsonl"
+            offsets = write_corpus(path, corpus_header({task: len(pairs)}, meta),
+                                   unit_weight_lines(p for _, p in pairs))
+            lines = path.read_text().splitlines()[1:]
+            want = sorted(recs, key=lambda r: r.provenance)
+            assert lines == [replace(r, weight=1.0).to_json() for r in want]
+            written[task] = WrittenCorpus(path, offsets)
+        order, plan = mix_multitask(written, seed=1)
+        # 2 of 6 records: an alpha whose repr is long
+        assert plan.alpha["sp"] == 1 / 3 and len(repr(plan.alpha["sp"])) > 15
+        path = tmp_path / "all.jsonl"
+        write_corpus(path, corpus_header(plan.sizes, meta), mixture_lines(written, order, plan.alpha))
+        lines = path.read_text().splitlines()[1:]
+        ordered = {t: sorted(rs, key=lambda r: r.provenance) for t, rs in lists.items()}
+        assert lines == [replace(ordered[t][i], weight=plan.alpha[t]).to_json() for t, i in order]
+        for corpus in written.values():
+            corpus.close()
+
+    def test_offsets_point_at_line_starts(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        offsets = write_corpus(path, {"format": "x"}, ["a", "bcd", ""])
+        data = path.read_bytes()
+        h = data.index(b"\n") + 1  # after the header line
+        assert data[h:] == b"a\nbcd\n\n"
+        assert list(offsets) == [h, h + 2, h + 6, h + 7] and h + 7 == len(data)
+
+    def test_breaking_record_is_named_by_provenance(self):
+        _, lists = self.records()
+        meta = {"vocab_sizes": {"specials": len(SPECIAL_TOKENS), "entities": 6, "relations": 3}}
+        # relation token 3 is out of range with three relations
+        with pytest.raises(CorpusInvariantError,
+                           match=r"^x: record f00000001:m00:p01:x0000: token \d+ is not a relation token$"):
+            check_and_serialize("x", record_bounds("x", meta), lists["sp"])
 
 
 class TestSerialization:
@@ -269,7 +372,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "c.jsonl"
         recs = self.sample_records()
-        write_corpus(recs, p, {"seed": 0})
+        write_records(recs, p, {"seed": 0})
         header, back = read_corpus(p)
         assert header["counts"] == {"sp": 1, "khn": 1, "iva": 1, "lcc": 1}
         assert header["seed"] == 0
@@ -284,7 +387,7 @@ class TestSerialization:
 
     def test_bad_record_line_number(self, tmp_path):
         p = tmp_path / "c.jsonl"
-        write_corpus(self.sample_records(), p, {})
+        write_records(self.sample_records(), p, {})
         lines = p.read_text().splitlines()
         lines[2] = "{broken"
         p.write_text("\n".join(lines) + "\n")
