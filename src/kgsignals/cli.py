@@ -9,11 +9,14 @@ config file (``--config``, JSON) > built-in defaults; the effective
 configuration is embedded in every corpus header.
 
 ``generate`` checks and serializes each record in the worker that built
-it and holds one task's lines at a time; ``all.jsonl`` is copied from
-the task files by byte offset. Every file is written under a temporary
-name and renamed into place only when all of them have passed the
-check, so a failed run writes no corpus. ``mix`` checks each
-input record as it reads it, naming the input file.
+it and holds one task's lines at a time. A task file lists its records
+in work-item order, the same at any ``--workers``: facts by index, then
+masked position, then partner position, then path; centres by id, then
+radius. ``all.jsonl`` is copied from the task files by byte offset.
+Every file is written under a temporary name and renamed into place
+only when all of them have passed the check, so a failed run writes no
+corpus. ``mix`` checks each input record as it reads it, naming the
+input file.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import time
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import fields
 from functools import partial
-from operator import itemgetter
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -35,6 +37,7 @@ from .corpus import (
     CorpusInvariantError,
     EmptyCorpusError,
     GenerationConfig,
+    MixPlan,
     TASKS,
     WrittenCorpus,
     check_and_serialize,
@@ -219,7 +222,7 @@ def _load_config(args) -> GenerationConfig:
         raise UsageError(f"bad configuration: {exc}") from exc
 
 
-def _corpus_meta(cfg: GenerationConfig, vocab: Vocabulary, alpha: dict | None) -> dict:
+def _corpus_meta(cfg: GenerationConfig, vocab: Vocabulary) -> dict:
     return {
         "seed": cfg.seed,
         "config": cfg.as_dict(),
@@ -230,8 +233,8 @@ def _corpus_meta(cfg: GenerationConfig, vocab: Vocabulary, alpha: dict | None) -
             "entities": vocab.num_entities,
             "relations": vocab.num_relations,
         },
-        "alpha": alpha,
-        "uniform_weights": alpha is None,
+        "alpha": None,
+        "uniform_weights": True,
     }
 
 
@@ -257,6 +260,18 @@ def _staged_writes():
         raise
 
 
+def _write_mixture(stage, path: Path, prefixes: dict, seed: int, meta: dict) -> MixPlan:
+    """Write the mixture of the weightless ``prefixes`` of each task to
+    ``stage(path)``, each record at its task's weight. Its header is
+    ``meta`` with this seed and those weights. Raises
+    :class:`EmptyCorpusError`, writing nothing, when there is no record."""
+    order, plan = mix_multitask(prefixes, seed)
+    header = corpus_header(plan.sizes, {**meta, "seed": seed, "alpha": plan.alpha, "uniform_weights": False})
+    check_totals(f"{path} (not written)", header, plan.sizes)
+    write_corpus(stage(path), header, mixture_lines(prefixes, order, plan.alpha))
+    return plan
+
+
 def cmd_generate(args) -> int:
     if args.workers < 0:
         raise UsageError(f"--workers must be >= 0, got {args.workers}")
@@ -271,13 +286,13 @@ def cmd_generate(args) -> int:
     out = _outdir(args)
     workers = args.workers if args.workers and args.workers > 0 else (os.cpu_count() or 1)
     tasks = list(TASKS) if args.task == "all" else [args.task]
-    meta = _corpus_meta(cfg, vocab, None)
+    meta = _corpus_meta(cfg, vocab)
     index = None
     with _staged_writes() as stage, ExitStack() as opened:
         written: dict[str, WrittenCorpus] = {}
         for task in tasks:
             t0 = time.monotonic()
-            if task in ("khn", "iva", "lcc") and index is None:
+            if task in ("khn", "lcc") and index is None:
                 index = NeighborhoodIndex(g, cfg.hops)
             path = out / f"{task}.jsonl"
             label = f"{path} (not written)"
@@ -287,11 +302,9 @@ def cmd_generate(args) -> int:
                 "%s: %d records (%d skipped) in %.1fs",
                 task, len(result.records), result.skipped, time.monotonic() - t0,
             )
-            if not result.records:
+            prefixes = result.records
+            if not prefixes:
                 log.warning("%s: empty corpus", task)
-            result.records.sort(key=itemgetter(0))  # provenance order
-            prefixes = [prefix for _, prefix in result.records]
-            del result
             header = corpus_header({task: len(prefixes)} if prefixes else {}, meta)
             tmp = stage(path)
             offsets = write_corpus(tmp, header, unit_weight_lines(prefixes))
@@ -299,14 +312,10 @@ def cmd_generate(args) -> int:
                 written[task] = opened.enter_context(closing(WrittenCorpus(tmp, offsets)))
         if args.task == "all":
             try:
-                order, plan = mix_multitask(written, cfg.seed)
+                plan = _write_mixture(stage, out / "all.jsonl", written, cfg.seed, meta)
             except EmptyCorpusError:
                 log.warning("all tasks empty; skipping mixture")
                 return EXIT_OK
-            path = out / "all.jsonl"
-            header = corpus_header(plan.sizes, _corpus_meta(cfg, vocab, plan.alpha))
-            check_totals(f"{path} (not written)", header, plan.sizes)
-            write_corpus(stage(path), header, mixture_lines(written, order, plan.alpha))
             stage(out / "mixplan.json").write_text(
                 json.dumps({"sizes": plan.sizes, "alpha": plan.alpha, "seed": plan.seed}, sort_keys=True, indent=2)
                 + "\n"
@@ -337,17 +346,10 @@ def cmd_mix(args) -> int:
             r.weight = None
             prefixes.setdefault(r.task, []).append(weightless_prefix(r))
     try:
-        order, plan = mix_multitask(prefixes, args.seed)
+        with _staged_writes() as stage:
+            plan = _write_mixture(stage, Path(args.out), prefixes, args.seed, meta)
     except EmptyCorpusError as exc:
         raise ParseError(str(exc)) from exc
-    meta["seed"] = args.seed
-    meta["alpha"] = plan.alpha
-    meta["uniform_weights"] = False
-    out = Path(args.out)
-    header = corpus_header(plan.sizes, meta)
-    check_totals(f"{out} (not written)", header, plan.sizes)
-    with _staged_writes() as stage:
-        write_corpus(stage(out), header, mixture_lines(prefixes, order, plan.alpha))
     print(json.dumps({"sizes": plan.sizes, "alpha": plan.alpha}, sort_keys=True))
     return EXIT_OK
 

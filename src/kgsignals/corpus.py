@@ -6,9 +6,13 @@ length (deterministic prefix). Targets are type-tagged: token sequences
 for path tasks, occurrence distributions for neighborhood prediction,
 binary labels for matrix equivalence and scalars for clustering.
 
-Generation is a pure function of (graph, config, seed). The optional
-worker pool chunks work items and merges results in item order, so the
-output bytes are identical for any worker count.
+Generation is a pure function of (graph, config, seed).
+:func:`generate_task_records` alone decides a task's work items, which
+centres it skips and the order of its records: the order of its items,
+the same at any worker count, since the optional worker pool chunks the
+items and joins the chunks' records in item order. Facts come by index,
+then masked position, then partner position, then path; centres come by
+id, then radius.
 
 Writing a corpus serializes each record once, in the process that built
 it: :func:`check_and_serialize` runs the per-record part of the record
@@ -35,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjacency import SkipExample, make_iva_example, upper_triangle
+from .adjacency import make_iva_example, upper_triangle
 from .graph import KnowledgeGraph
 from .ingest import SPECIAL_TOKENS, TASK_TOKENS, Vocabulary
 from .neighborhood import NeighborhoodIndex
@@ -155,7 +159,7 @@ class TaskRecord:
 @dataclass
 class GenerationResult:
     records: list  # TaskRecords, or what ``finish`` made of them
-    skipped: int = 0
+    skipped: int  # khn, iva and lcc: the entities with no neighbour
 
 
 @dataclass
@@ -184,9 +188,7 @@ def _ip_paths(state: dict, fact_index: int, e_i: int, e_j: int) -> list[tuple[in
     return ground_paths(g, e_i, e_j, candidates, exclude_fact=fact_index)
 
 
-def _gen_path_chunk(
-    task: str, search, state: dict, items: list[tuple[int, int, int]]
-) -> GenerationResult:
+def _gen_path_chunk(task: str, search, state: dict, items: list[tuple[int, int, int]]) -> list[TaskRecord]:
     """Records of (fact index, masked position, partner position) items.
     The input names the masked entity e_i, the fact's relation and the
     partner e_j; there is one record per path that ``search`` finds
@@ -217,7 +219,7 @@ def _gen_path_chunk(
             )
             for i, target in enumerate(targets)
         )
-    return GenerationResult(records)
+    return records
 
 
 def _khn_lcc_input(
@@ -241,16 +243,12 @@ def _lcc_target(
     return "scalar", float(index.clustering(e, h, weighted=cfg.lcc_weighted))
 
 
-def _gen_ball_chunk(task: str, target, state: dict, centers: list[int]) -> GenerationResult:
-    """One record per radius h = 1..hops of every center with a nonempty
-    ball; its input lists the ball of radius h - 1."""
+def _gen_ball_chunk(task: str, target, state: dict, centers: list[int]) -> list[TaskRecord]:
+    """One record per radius h = 1..hops of every center; its input lists
+    the ball of radius h - 1."""
     vocab, cfg, index = state["vocab"], state["cfg"], state["index"]
     records: list[TaskRecord] = []
-    skipped = 0
     for e in centers:
-        if index.ball(e, 1).size == 0:
-            skipped += 1
-            continue
         prev_ball = np.empty(0, dtype=np.intp)
         for h in range(1, cfg.hops + 1):
             kind, value = target(vocab, cfg, index, e, h)
@@ -266,7 +264,7 @@ def _gen_ball_chunk(task: str, target, state: dict, centers: list[int]) -> Gener
                 )
             )
             prev_ball = index.ball(e, h)
-    return GenerationResult(records, skipped)
+    return records
 
 
 def _flatten_tokens(vocab: Vocabulary, cfg: GenerationConfig, matrix) -> tuple[list[int], bool]:
@@ -279,25 +277,15 @@ def _flatten_tokens(vocab: Vocabulary, cfg: GenerationConfig, matrix) -> tuple[l
     return tokens, bool((upper > cfg.value_ceiling).any())
 
 
-def _gen_iva_chunk(state: dict, items: list[tuple[int, bool]]) -> GenerationResult:
+def _gen_iva_chunk(state: dict, items: list[tuple[int, bool]]) -> list[TaskRecord]:
     g, vocab, cfg = state["g"], state["vocab"], state["cfg"]
     records: list[TaskRecord] = []
-    skipped = 0
     for center, negative in items:
         rng = random.Random(f"{cfg.seed}:iva:{center}")
-        try:
-            ex = make_iva_example(
-                g,
-                center,
-                cfg.hops,
-                rng,
-                negative,
-                size_cap=cfg.iva_cap,
-                corruption_rate=cfg.corruption_rate,
-            )
-        except SkipExample:
-            skipped += 1
-            continue
+        # no SkipExample: every center has a neighbour and hops >= 1
+        ex = make_iva_example(
+            g, center, cfg.hops, rng, negative, size_cap=cfg.iva_cap, corruption_rate=cfg.corruption_rate
+        )
         left, cl1 = _flatten_tokens(vocab, cfg, ex.left)
         right, cl2 = _flatten_tokens(vocab, cfg, ex.right)
         tokens = [vocab.special_token("[IVA]")] + left + [vocab.special_token("[SEP]")] + right
@@ -317,7 +305,7 @@ def _gen_iva_chunk(state: dict, items: list[tuple[int, bool]]) -> GenerationResu
                 flags=flags,
             )
         )
-    return GenerationResult(records, skipped)
+    return records
 
 
 _CHUNK_FNS = {
@@ -332,24 +320,22 @@ _CHUNK_FNS = {
 _POOL_STATE: dict | None = None
 
 
-def _run_chunk(task: str, state: dict, items: list) -> GenerationResult:
-    result = _CHUNK_FNS[task](state, items)
-    if state["finish"] is not None:
-        result.records = state["finish"](result.records)
-    return result
+def _run_chunk(task: str, state: dict, items: list) -> list:
+    records = _CHUNK_FNS[task](state, items)
+    return records if state["finish"] is None else state["finish"](records)
 
 
-def _pool_run(args: tuple[str, list]) -> GenerationResult:
+def _pool_run(args: tuple[str, list]) -> list:
     task, chunk = args
     assert _POOL_STATE is not None
     return _run_chunk(task, _POOL_STATE, chunk)
 
 
-def _run_chunks(task: str, state: dict, items: list, workers: int) -> GenerationResult:
-    """Run ``items`` in chunks, four per worker, and merge the results in
-    item order. With one worker, or too few items to share, the chunks
-    run one after another in this process, so that only one chunk's
-    records exist at a time when ``finish`` serializes them."""
+def _run_chunks(task: str, state: dict, items: list, workers: int) -> list:
+    """Run ``items`` in chunks, four per worker, and join the chunks'
+    records in item order. With one worker, or too few items to share,
+    the chunks run one after another in this process, so that only one
+    chunk's records exist at a time when ``finish`` serializes them."""
     chunk_size = max(1, math.ceil(len(items) / (max(workers, 1) * 4)))
     chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
     ctx = None
@@ -370,11 +356,7 @@ def _run_chunks(task: str, state: dict, items: list, workers: int) -> Generation
                 results = pool.map(_pool_run, [(task, c) for c in chunks])
         finally:
             _POOL_STATE = None
-    merged = GenerationResult([])
-    for r in results:
-        merged.records.extend(r.records)
-        merged.skipped += r.skipped
-    return merged
+    return [r for chunk in results for r in chunk]
 
 
 def generate_task_records(
@@ -386,13 +368,17 @@ def generate_task_records(
     index: NeighborhoodIndex | None = None,
     finish=None,
 ) -> GenerationResult:
-    """Generate all records for one task. Deterministic under the config
-    seed and independent of ``workers``. A prebuilt ``index`` (from
-    ``NeighborhoodIndex(g, cfg.hops)``) may be shared across the
-    neighborhood-based tasks. ``finish``, when given, maps each chunk's
-    record list to one item per record in the process that built the
-    chunk, such as :func:`check_and_serialize`; ``records`` then holds
-    those items, in the same order."""
+    """Generate all records for one task, in work-item order.
+    Deterministic under the config seed and independent of ``workers``.
+
+    sp and ip take every (fact, masked position, partner position). khn,
+    iva and lcc take every entity with a neighbour as a center, and
+    count the others as ``skipped``. A prebuilt ``index`` (from
+    ``NeighborhoodIndex(g, cfg.hops)``) may be shared by khn and lcc.
+    ``finish``, when given, maps each chunk's record list to one item
+    per record in the process that built the chunk, such as
+    :func:`check_and_serialize`; ``records`` then holds those items, in
+    the same order."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     state: dict = {"g": g, "vocab": vocab, "cfg": cfg, "finish": finish}
@@ -413,16 +399,15 @@ def generate_task_records(
             for p in range(f.arity)
             if p != m
         ]
-        return _run_chunks(task, state, items, workers)
+        return GenerationResult(_run_chunks(task, state, items, workers), 0)
+    # a center without a neighbour has an empty ball and no IVA matrix
+    centers = [e for e in range(g.num_entities) if g.neighbors(e)]
     if task == "iva":
-        eligible = [e for e in range(g.num_entities) if g.neighbors(e)]
-        items = [(e, i % 2 == 1) for i, e in enumerate(eligible)]
-        result = _run_chunks(task, state, items, workers)
-        result.skipped += g.num_entities - len(eligible)
-        return result
-    state["index"] = index if index is not None else NeighborhoodIndex(g, cfg.hops)
-    centers = list(range(g.num_entities))
-    return _run_chunks(task, state, centers, workers)
+        items = [(e, i % 2 == 1) for i, e in enumerate(centers)]
+    else:
+        state["index"] = index if index is not None else NeighborhoodIndex(g, cfg.hops)
+        items = centers
+    return GenerationResult(_run_chunks(task, state, items, workers), g.num_entities - len(centers))
 
 
 def mix_multitask(
@@ -469,13 +454,13 @@ def weightless_prefix(r: TaskRecord) -> str:
     return r.to_json()[: -len(_NO_WEIGHT)]
 
 
-def check_and_serialize(path: str, bounds: RecordBounds, records: list[TaskRecord]) -> list[tuple[str, str]]:
+def check_and_serialize(path: str, bounds: RecordBounds, records: list[TaskRecord]) -> list[str]:
     """Check each record of a freshly built chunk against ``bounds``,
-    naming it by provenance, then serialize it once: (provenance,
-    weightless prefix) pairs. Runs in the process that built the chunk."""
+    naming it by provenance, then serialize it once: the weightless
+    prefixes, in record order. Runs in the process that built the chunk."""
     for r in records:
         check_record(path, r.provenance, bounds, r)
-    return [(r.provenance, weightless_prefix(r)) for r in records]
+    return [weightless_prefix(r) for r in records]
 
 
 def write_corpus(path: str | Path, header: dict, lines: Iterable[str]) -> array:
@@ -671,24 +656,26 @@ def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> N
 
 
 def read_corpus(path: str | Path) -> tuple[dict, list[TaskRecord]]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise CorpusFormatError(f"{path}: empty file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"{path}:1: bad header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise CorpusFormatError(f"{path}:1: not a {FORMAT_NAME} file")
+    """The header and records of a corpus file, read line by line."""
     records: list[TaskRecord] = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise CorpusFormatError(f"{path}: empty file")
         try:
-            records.append(TaskRecord.from_json(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            # not JSON, a missing field, or a record or field of the wrong
-            # shape (JSONDecodeError is a ValueError)
-            raise CorpusFormatError(f"{path}:{ln}: bad record: {exc}") from exc
+            header = json.loads(first)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}:1: bad header: {exc}") from exc
+        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+            raise CorpusFormatError(f"{path}:1: not a {FORMAT_NAME} file")
+        for ln, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                records.append(TaskRecord.from_json(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                # not JSON, a missing field, or a record or field of the wrong
+                # shape (JSONDecodeError is a ValueError)
+                raise CorpusFormatError(f"{path}:{ln}: bad record: {exc}") from exc
     return header, records

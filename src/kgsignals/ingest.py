@@ -115,8 +115,11 @@ class Vocabulary:
         lines = text.splitlines()
         if not lines or not lines[0].startswith("#kgsignals-vocab"):
             raise ParseError(f"{path}:1: missing vocabulary header")
-        header = dict(kv.split("=") for kv in lines[0].split("\t")[1:])
-        n_ent, n_rel = int(header["entities"]), int(header["relations"])
+        try:
+            header = dict(kv.split("=") for kv in lines[0].split("\t")[1:])
+            n_ent, n_rel = int(header["entities"]), int(header["relations"])
+        except (ValueError, KeyError) as exc:
+            raise ParseError(f"{path}:1: bad vocabulary header: expected entities=N and relations=N") from exc
         n_special = len(SPECIAL_TOKENS)
         rows: list[tuple[str, int]] = []
         for ln, line in enumerate(lines[1:], start=2):
@@ -125,7 +128,10 @@ class Vocabulary:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"{path}:{ln}: expected 'token<TAB>id'")
-            rows.append((parts[0], int(parts[1])))
+            try:
+                rows.append((parts[0], int(parts[1])))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{ln}: {exc}") from exc
         if len(rows) != n_special + n_ent + n_rel:
             raise ParseError(f"{path}: header counts disagree with body")
         rows.sort(key=lambda kv: kv[1])

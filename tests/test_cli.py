@@ -5,7 +5,7 @@ import pytest
 
 from kgsignals import corpus as corpus_mod
 from kgsignals.cli import main
-from kgsignals.corpus import GenerationResult, TaskRecord, read_corpus
+from kgsignals.corpus import TaskRecord, read_corpus
 
 TRIPLES = """\
 alice\tknows\tbob
@@ -112,6 +112,24 @@ def test_data_errors_exit_2(ingested, tmp_path, capsys):
                  "--seed", "1", "--workers", "1"]) == 2
     assert f"{tuples}:2:" in capsys.readouterr().err
     assert list(out.glob("*.jsonl")) == []
+    # a malformed vocabulary: a header field without "=", a count that is
+    # not an integer, a missing count, and a token id that is not an integer
+    vocab = ingested / "vocab.tsv"
+    good = vocab.read_text().splitlines()
+    for i, (line, text) in enumerate([
+        (0, "#kgsignals-vocab\tentities\trelations=2"),
+        (0, "#kgsignals-vocab\tentities=four\trelations=2"),
+        (0, "#kgsignals-vocab\tentities=4"),
+        (3, "[SEP]\ttwo"),
+    ]):
+        vocab.write_text("\n".join(good[:line] + [text] + good[line + 1:]) + "\n")
+        out = tmp_path / f"bad_vocab_{i}"
+        capsys.readouterr()
+        assert main(["generate", "all", "--data", str(ingested), "--out", str(out),
+                     "--seed", "1", "--workers", "1"]) == 2, text
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {vocab}:{line + 1}:"), (text, err)
+        assert list(out.glob("*.jsonl")) == [], text
 
 
 @pytest.fixture
@@ -139,11 +157,28 @@ def test_generate_all_is_byte_identical_across_worker_counts(wide, tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_records_come_in_item_order_past_the_provenance_widths(wide, tmp_path):
+    # with --hops 10 the radius takes two digits: the records of each
+    # centre still run h1 ... h10, not h1, h10, h2, ...
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert main(["generate", "lcc", "--data", str(wide), "--out", str(out),
+                     "--seed", "4", "--hops", "10", "--workers", str(workers)]) == 0
+        outs.append((out / "lcc.jsonl").read_bytes())
+    assert outs[0] == outs[1]
+    _, records = read_corpus(tmp_path / "w1" / "lcc.jsonl")
+    provs = [r.provenance.split(":") for r in records]
+    centers = list(dict.fromkeys(c for c, _ in provs))
+    assert centers == sorted(centers)
+    assert provs == [[c, f"h{h}"] for c in centers for h in range(1, 11)]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failed_generate_leaves_no_file(wide, tmp_path, capsys, monkeypatch, workers):
     def bad_ip_chunk(state, items):
         # an ip record whose input does not start with the [IP] token
-        return GenerationResult([TaskRecord("ip", [0], "tokens", [0], "f00000000:m00:p01:x0000")])
+        return [TaskRecord("ip", [0], "tokens", [0], "f00000000:m00:p01:x0000")]
 
     monkeypatch.setitem(corpus_mod._CHUNK_FNS, "ip", bad_ip_chunk)
     out = tmp_path / "o"

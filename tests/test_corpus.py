@@ -323,13 +323,11 @@ class TestStreamedWriter:
         written = {}
         for task, recs in lists.items():
             bounds = record_bounds("x", meta)
-            pairs = sorted(check_and_serialize("x", bounds, recs), key=lambda pair: pair[0])
+            prefixes = check_and_serialize("x", bounds, recs)
             path = tmp_path / f"{task}.jsonl"
-            offsets = write_corpus(path, corpus_header({task: len(pairs)}, meta),
-                                   unit_weight_lines(p for _, p in pairs))
+            offsets = write_corpus(path, corpus_header({task: len(prefixes)}, meta), unit_weight_lines(prefixes))
             lines = path.read_text().splitlines()[1:]
-            want = sorted(recs, key=lambda r: r.provenance)
-            assert lines == [replace(r, weight=1.0).to_json() for r in want]
+            assert lines == [replace(r, weight=1.0).to_json() for r in recs]
             written[task] = WrittenCorpus(path, offsets)
         order, plan = mix_multitask(written, seed=1)
         # 2 of 6 records: an alpha whose repr is long
@@ -337,8 +335,7 @@ class TestStreamedWriter:
         path = tmp_path / "all.jsonl"
         write_corpus(path, corpus_header(plan.sizes, meta), mixture_lines(written, order, plan.alpha))
         lines = path.read_text().splitlines()[1:]
-        ordered = {t: sorted(rs, key=lambda r: r.provenance) for t, rs in lists.items()}
-        assert lines == [replace(ordered[t][i], weight=plan.alpha[t]).to_json() for t, i in order]
+        assert lines == [replace(lists[t][i], weight=plan.alpha[t]).to_json() for t, i in order]
         for corpus in written.values():
             corpus.close()
 
@@ -435,6 +432,23 @@ class TestWorkers:
         multi = generate_task_records(g, v, task, cfg, workers=3)
         assert [r.to_json() for r in base.records] == [r.to_json() for r in multi.records]
         assert base.skipped == multi.skipped
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("task", ["khn", "lcc", "iva"])
+def test_centres_without_a_neighbour_are_skipped(task, workers):
+    # entity 5 is in no fact, and entity 4's only fact is r(4, 4); the
+    # rest is a random graph on entities 6.. that a pool splits
+    rng = random.Random(3)
+    facts = [Fact(0, (4, 4)), Fact(1, (0, 1)), Fact(1, (1, 2, 3)), Fact(0, (2, 0))]
+    facts += [Fact(rng.randrange(3), (rng.randrange(6, 90), rng.randrange(6, 90))) for _ in range(150)]
+    g = build_index(facts, 90, 3)
+    lonely = set(range(90)) - {e for f in facts if len(set(f.entities)) > 1 for e in f.entities}
+    assert {4, 5} <= lonely
+    result = generate_task_records(g, make_vocab(90, 3), task, GenerationConfig(seed=2, hops=2), workers=workers)
+    assert result.skipped == len(lonely)
+    centers = {int(r.provenance.split(":")[0][1:]) for r in result.records}
+    assert centers == set(range(90)) - lonely
 
 
 def test_path_items_cover_every_ordered_position_pair():
