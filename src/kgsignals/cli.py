@@ -55,7 +55,6 @@ from .corpus import (
     write_corpus,
 )
 from .graph import Fact, GraphError, build_index
-from .neighborhood import NeighborhoodIndex
 from .ingest import (
     ParseError,
     SPECIAL_TOKENS,
@@ -64,6 +63,7 @@ from .ingest import (
     compute_stats,
     parse_hypergraph,
     parse_triples,
+    read_lines,
 )
 
 log = logging.getLogger("kgsignals")
@@ -155,30 +155,27 @@ def _write_tuples(facts: list[Fact], path: Path) -> None:
 
 def _read_tuples(path: Path) -> list[Fact]:
     facts: list[Fact] = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise ParseError(f"{path}:{ln}: expected relation + >=2 entity ids")
-            try:
-                ids = [int(x) for x in parts]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{ln}: {exc}") from exc
-            facts.append(Fact(relation=ids[0], entities=tuple(ids[1:])))
+    for ln, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) < 3:
+            raise ParseError(f"{path}:{ln}: expected relation + >=2 entity ids")
+        try:
+            ids = [int(x) for x in parts]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{ln}: {exc}") from exc
+        facts.append(Fact(relation=ids[0], entities=tuple(ids[1:])))
     return facts
 
 
 def cmd_ingest(args) -> int:
     vocab, splits = _parse_splits(args)
     out = _outdir(args)
-    vocab.save(out / "vocab.tsv")
-    for name, facts in splits.items():
-        _write_tuples(facts, out / f"{name}.tuples")
-    stats = compute_stats(vocab, splits)
-    (out / "stats.json").write_text(json.dumps(stats.as_dict(), indent=2, sort_keys=True) + "\n")
+    with _staged_writes() as stage:
+        vocab.save(stage(out / "vocab.tsv"))
+        for name, facts in splits.items():
+            _write_tuples(facts, stage(out / f"{name}.tuples"))
+        stats = compute_stats(vocab, splits)
+        stage(out / "stats.json").write_text(json.dumps(stats.as_dict(), indent=2, sort_keys=True) + "\n")
     log.info("ingested %d splits into %s", len(splits), out)
     print(json.dumps(stats.as_dict(), sort_keys=True))
     return EXIT_OK
@@ -198,8 +195,9 @@ def _load_config(args) -> GenerationConfig:
     file_cfg: dict = {}
     if args.config:
         try:
-            file_cfg = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            file_cfg = json.loads(Path(args.config).read_bytes())
+        except (OSError, ValueError) as exc:
+            # ValueError: not JSON, or not UTF-8
             raise ParseError(f"{args.config}: {exc}") from exc
     names = [f.name for f in fields(GenerationConfig)]
     if not isinstance(file_cfg, dict):
@@ -287,17 +285,14 @@ def cmd_generate(args) -> int:
     workers = args.workers if args.workers and args.workers > 0 else (os.cpu_count() or 1)
     tasks = list(TASKS) if args.task == "all" else [args.task]
     meta = _corpus_meta(cfg, vocab)
-    index = None
     with _staged_writes() as stage, ExitStack() as opened:
         written: dict[str, WrittenCorpus] = {}
         for task in tasks:
             t0 = time.monotonic()
-            if task in ("khn", "lcc") and index is None:
-                index = NeighborhoodIndex(g, cfg.hops)
             path = out / f"{task}.jsonl"
             label = f"{path} (not written)"
             finish = partial(check_and_serialize, label, record_bounds(label, meta))
-            result = generate_task_records(g, vocab, task, cfg, workers=workers, index=index, finish=finish)
+            result = generate_task_records(g, vocab, task, cfg, workers=workers, finish=finish)
             log.info(
                 "%s: %d records (%d skipped) in %.1fs",
                 task, len(result.records), result.skipped, time.monotonic() - t0,

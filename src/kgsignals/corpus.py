@@ -41,7 +41,7 @@ import numpy as np
 
 from .adjacency import make_iva_example, upper_triangle
 from .graph import KnowledgeGraph
-from .ingest import SPECIAL_TOKENS, TASK_TOKENS, Vocabulary
+from .ingest import SPECIAL_TOKENS, TASK_TOKENS, Vocabulary, read_lines
 from .neighborhood import NeighborhoodIndex
 from .paths import (
     CandidateTrie,
@@ -365,7 +365,6 @@ def generate_task_records(
     task: str,
     cfg: GenerationConfig,
     workers: int = 1,
-    index: NeighborhoodIndex | None = None,
     finish=None,
 ) -> GenerationResult:
     """Generate all records for one task, in work-item order.
@@ -373,12 +372,10 @@ def generate_task_records(
 
     sp and ip take every (fact, masked position, partner position). khn,
     iva and lcc take every entity with a neighbour as a center, and
-    count the others as ``skipped``. A prebuilt ``index`` (from
-    ``NeighborhoodIndex(g, cfg.hops)``) may be shared by khn and lcc.
-    ``finish``, when given, maps each chunk's record list to one item
-    per record in the process that built the chunk, such as
-    :func:`check_and_serialize`; ``records`` then holds those items, in
-    the same order."""
+    count the others as ``skipped``. ``finish``, when given, maps each
+    chunk's record list to one item per record in the process that
+    built the chunk, such as :func:`check_and_serialize`; ``records``
+    then holds those items, in the same order."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     state: dict = {"g": g, "vocab": vocab, "cfg": cfg, "finish": finish}
@@ -405,7 +402,7 @@ def generate_task_records(
     if task == "iva":
         items = [(e, i % 2 == 1) for i, e in enumerate(centers)]
     else:
-        state["index"] = index if index is not None else NeighborhoodIndex(g, cfg.hops)
+        state["index"] = NeighborhoodIndex(g, cfg.hops)
         items = centers
     return GenerationResult(_run_chunks(task, state, items, workers), g.num_entities - len(centers))
 
@@ -657,25 +654,22 @@ def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> N
 
 def read_corpus(path: str | Path) -> tuple[dict, list[TaskRecord]]:
     """The header and records of a corpus file, read line by line."""
+    lines = read_lines(path)
+    ln, first = next(lines, (0, ""))
+    if ln != 1:
+        raise CorpusFormatError(f"{path}: empty file" if ln == 0 else f"{path}:1: bad header: empty line")
+    try:
+        header = json.loads(first)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"{path}:1: bad header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+        raise CorpusFormatError(f"{path}:1: not a {FORMAT_NAME} file")
     records: list[TaskRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise CorpusFormatError(f"{path}: empty file")
+    for ln, line in lines:
         try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}:1: bad header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-            raise CorpusFormatError(f"{path}:1: not a {FORMAT_NAME} file")
-        for ln, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                records.append(TaskRecord.from_json(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                # not JSON, a missing field, or a record or field of the wrong
-                # shape (JSONDecodeError is a ValueError)
-                raise CorpusFormatError(f"{path}:{ln}: bad record: {exc}") from exc
+            records.append(TaskRecord.from_json(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            # not JSON, a missing field, or a record or field of the wrong
+            # shape (JSONDecodeError is a ValueError)
+            raise CorpusFormatError(f"{path}:{ln}: bad record: {exc}") from exc
     return header, records

@@ -7,7 +7,9 @@ arity-2 facts are ordinary knowledge-graph triples in the form r(h, t).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,20 +39,20 @@ class Fact:
         return len(self.entities)
 
 
-def _pair_weights(fact: Fact) -> dict[tuple[int, int], int]:
-    """Co-occurrence increments contributed by one fact.
+def cooccurrence_matrix(facts: Sequence[Fact], num_entities: int) -> sp.csr_matrix:
+    """Symmetric entity-by-entity co-occurrence counts, as int64 CSR.
 
-    Each unordered position pair adds 1 to the (a, b) cell; a pair of
-    positions holding the same entity adds 1 to its diagonal cell.
+    Every fact adds 1 to cell (a, b) for each unordered pair of its
+    positions holding a and b, so ``r(a, b, a)`` adds 2 to (a, b) and
+    1 to the diagonal cell (a, a). Stored cells are positive and the
+    column indices of each row ascend.
     """
-    out: dict[tuple[int, int], int] = {}
-    ents = fact.entities
-    for i in range(len(ents)):
-        for j in range(i + 1, len(ents)):
-            a, b = ents[i], ents[j]
-            key = (a, b) if a <= b else (b, a)
-            out[key] = out.get(key, 0) + 1
-    return out
+    pairs = np.array([p for f in facts for p in combinations(f.entities, 2)], dtype=np.int64).reshape(-1, 2)
+    n = num_entities
+    # a counts each position pair once, at (earlier, later) position;
+    # a + a.T counts it in both orientations and a same-entity pair twice
+    a = sp.csr_matrix((np.ones(len(pairs), dtype=np.int64), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return (a + a.T - sp.diags(a.diagonal(), dtype=np.int64)).tocsr()
 
 
 class KnowledgeGraph:
@@ -128,31 +130,9 @@ class KnowledgeGraph:
         return frozenset(m.indices[m.indptr[e] : m.indptr[e + 1]].tolist()) - {e}
 
     def cooccurrence_counts(self) -> sp.csr_matrix:
-        """Symmetric entity-by-entity co-occurrence counts, as int64 CSR.
-
-        Every fact adds 1 to cell (a, b) for each unordered pair of its
-        positions holding a and b, so ``r(a, b, a)`` adds 2 to (a, b) and
-        1 to the diagonal cell (a, a). Stored cells are positive and the
-        column indices of each row ascend. Built once, on first use.
-        """
+        """:func:`cooccurrence_matrix` of the facts, built once, on first use."""
         if self._cooccurrence is None:
-            rows: list[int] = []
-            cols: list[int] = []
-            vals: list[int] = []
-            for f in self.facts:
-                for (a, b), w in _pair_weights(f).items():
-                    rows.append(a)
-                    cols.append(b)
-                    vals.append(w)
-                    if a != b:
-                        rows.append(b)
-                        cols.append(a)
-                        vals.append(w)
-            n = self.num_entities
-            # COO -> CSR sums repeated cells and sorts each row
-            self._cooccurrence = sp.csr_matrix(
-                (np.asarray(vals, dtype=np.int64), (rows, cols)), shape=(n, n)
-            )
+            self._cooccurrence = cooccurrence_matrix(self.facts, self.num_entities)
         return self._cooccurrence
 
     def cooccurrence_rows(self) -> tuple[list[int], list[int], list[int]]:

@@ -5,17 +5,23 @@ Two input conventions are supported:
 * triples:     ``head<TAB>relation<TAB>tail`` (FB15k-237 / WN18RR style)
 * hypergraph:  ``relation<TAB>e1<TAB>e2[<TAB>e3...]`` (JF17K style)
 
-Surface strings are kept verbatim (UTF-8, no normalization); all math
+Every input file is UTF-8 and is read by :func:`read_lines`: a line
+ends at LF, CRLF or CR, empty lines are skipped, and a byte that is not
+UTF-8 raises :class:`ParseError` naming the file and line (exit 2).
+Surface strings are kept verbatim (no normalization); all math
 downstream runs on dense integer ids.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .graph import Fact
+import numpy as np
+
+from .graph import Fact, cooccurrence_matrix
 
 # Reserved special tokens; their ids form a contiguous block below all
 # entity and relation token ids. Order is part of the file format.
@@ -37,6 +43,24 @@ TASK_TOKENS = {"sp": "[SP]", "ip": "[IP]", "khn": "[KHN]", "iva": "[IVA]", "lcc"
 
 class ParseError(Exception):
     """Malformed input line; message carries file and line number."""
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The number and text of each non-empty line of the UTF-8 file
+    ``path``. A line ends at LF, CRLF or CR. Raises :class:`ParseError`
+    at the first line holding bytes that are not UTF-8."""
+    # undecodable bytes become lone surrogates, which do not encode back
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for ln, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ParseError(f"{path}:{ln}: not UTF-8 at column {exc.start + 1}") from None
+            yield ln, line
 
 
 @dataclass
@@ -111,20 +135,18 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        text = Path(path).read_text(encoding="utf-8")
-        lines = text.splitlines()
-        if not lines or not lines[0].startswith("#kgsignals-vocab"):
+        lines = read_lines(path)
+        ln, first = next(lines, (0, ""))
+        if ln != 1 or not first.startswith("#kgsignals-vocab"):
             raise ParseError(f"{path}:1: missing vocabulary header")
         try:
-            header = dict(kv.split("=") for kv in lines[0].split("\t")[1:])
+            header = dict(kv.split("=") for kv in first.split("\t")[1:])
             n_ent, n_rel = int(header["entities"]), int(header["relations"])
         except (ValueError, KeyError) as exc:
             raise ParseError(f"{path}:1: bad vocabulary header: expected entities=N and relations=N") from exc
         n_special = len(SPECIAL_TOKENS)
         rows: list[tuple[str, int]] = []
-        for ln, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
+        for ln, line in lines:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"{path}:{ln}: expected 'token<TAB>id'")
@@ -212,41 +234,33 @@ def parse_triples(path: str | Path, builder: VocabBuilder) -> list[Fact]:
     distinct facts.
     """
     facts: list[Fact] = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{ln}: expected 3 tab-separated fields, got {len(parts)}")
-            h, r, t = parts
-            facts.append(
-                Fact(
-                    relation=builder.relation_id(r),
-                    entities=(builder.entity_id(h), builder.entity_id(t)),
-                )
+    for ln, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{ln}: expected 3 tab-separated fields, got {len(parts)}")
+        h, r, t = parts
+        facts.append(
+            Fact(
+                relation=builder.relation_id(r),
+                entities=(builder.entity_id(h), builder.entity_id(t)),
             )
+        )
     return facts
 
 
 def parse_hypergraph(path: str | Path, builder: VocabBuilder) -> list[Fact]:
     """Parse ``relation<TAB>e1<TAB>e2[<TAB>...]`` lines into arity-n facts."""
     facts: list[Fact] = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise ParseError(f"{path}:{ln}: arity {len(parts) - 1} < 2")
-            facts.append(
-                Fact(
-                    relation=builder.relation_id(parts[0]),
-                    entities=tuple(builder.entity_id(e) for e in parts[1:]),
-                )
+    for ln, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) < 3:
+            raise ParseError(f"{path}:{ln}: arity {len(parts) - 1} < 2")
+        facts.append(
+            Fact(
+                relation=builder.relation_id(parts[0]),
+                entities=tuple(builder.entity_id(e) for e in parts[1:]),
             )
+        )
     return facts
 
 
@@ -263,13 +277,10 @@ def compute_stats(vocab: Vocabulary, splits: dict[str, list[Fact]]) -> DatasetSt
     max_arity = max((f.arity for f in all_facts), default=2)
     total = len(all_facts)
     tpe = total / n_ent if n_ent else 0.0
-    # average degree: distinct co-occurrence partners per entity
-    partners: dict[int, set[int]] = {}
-    for f in all_facts:
-        es = set(f.entities)
-        for e in es:
-            partners.setdefault(e, set()).update(es - {e})
-    avg_deg = sum(len(s) for s in partners.values()) / n_ent if n_ent else 0.0
+    # average degree: distinct co-occurrence partners per entity, the
+    # off-diagonal cells of the co-occurrence matrix
+    m = cooccurrence_matrix(all_facts, n_ent)
+    avg_deg = (m.nnz - np.count_nonzero(m.diagonal())) / n_ent if n_ent else 0.0
     return DatasetStats(
         num_entities=n_ent,
         num_relations=vocab.num_relations,

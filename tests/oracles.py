@@ -234,6 +234,16 @@ def bfs_ball(facts: list[Fact], e: int, k: int) -> set[int]:
     return seen - {e}
 
 
+def avg_degree_oracle(facts: list[Fact], n_ent: int) -> float:
+    """Distinct co-occurrence partners per entity, from partner sets."""
+    partners: dict[int, set[int]] = {}
+    for f in facts:
+        es = set(f.entities)
+        for e in es:
+            partners.setdefault(e, set()).update(es - {e})
+    return sum(len(s) for s in partners.values()) / n_ent if n_ent else 0.0
+
+
 def dense_adjacency(facts: list[Fact], n_ent: int) -> list[list[int]]:
     a = [[0] * n_ent for _ in range(n_ent)]
     for f in facts:

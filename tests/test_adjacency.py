@@ -46,13 +46,21 @@ class TestRelationlessAdjacency:
         a = relationless_adjacency(g, [0, 1, 2])
         assert a.values.tolist() == [[1, 2, 1], [2, 0, 3], [1, 3, 1]]
 
-    def test_matches_dense_oracle(self):
-        rng = random.Random(2)
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_dense_oracle(self, seed):
+        rng = random.Random(seed)
         facts, n_ent, n_rel = random_graph(rng, max_entities=12, max_relations=4, max_facts=30)
+        if seed % 2:
+            # r(a, b, a) and an arity-3 fact of one entity
+            facts += [Fact(0, (0, 1, 0)), Fact(0, (2, 2, 2))]
         g = build_index(facts, n_ent, n_rel)
         full = dense_adjacency(facts, n_ent)
         a = relationless_adjacency(g, list(range(n_ent)))
         assert a.values.tolist() == full
+        m = g.cooccurrence_counts()
+        assert m.toarray().tolist() == full
+        assert m.dtype == np.int64 and (m.data > 0).all()
+        assert all((np.diff(m.indices[m.indptr[e] : m.indptr[e + 1]]) > 0).all() for e in range(n_ent))
 
     def test_symmetry(self):
         rng = random.Random(8)

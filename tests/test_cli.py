@@ -6,6 +6,7 @@ import pytest
 from kgsignals import corpus as corpus_mod
 from kgsignals.cli import main
 from kgsignals.corpus import TaskRecord, read_corpus
+from kgsignals.ingest import Vocabulary
 
 TRIPLES = """\
 alice\tknows\tbob
@@ -130,6 +131,74 @@ def test_data_errors_exit_2(ingested, tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"data error: {vocab}:{line + 1}:"), (text, err)
         assert list(out.glob("*.jsonl")) == [], text
+    # a config file that is not UTF-8
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"seed": 1, "hops": \xff}')
+    out = tmp_path / "bad_config"
+    capsys.readouterr()
+    assert main(["generate", "all", "--data", str(ingested), "--out", str(out),
+                 "--config", str(cfg), "--workers", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {cfg}: "), err
+    assert not out.exists()
+
+
+# (command, file given a line 2 that is not UTF-8): every input file is
+# read by one line reader, which names the file, line and column
+BAD_BYTES = ["triples", "hypergraph", "tuples", "vocab", "verify", "mix"]
+
+
+@pytest.mark.parametrize("command", BAD_BYTES)
+def test_bytes_that_are_not_utf8_exit_2_naming_the_line(dataset, ingested, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    if command in ("triples", "hypergraph"):
+        path = dataset
+        argv = ["ingest", "--train", str(path), "--kind", command, "--out", str(out)]
+    elif command in ("tuples", "vocab"):
+        path = ingested / ("train.tuples" if command == "tuples" else "vocab.tsv")
+        argv = ["generate", "all", "--data", str(ingested), "--out", str(out), "--seed", "1", "--workers", "1"]
+    else:
+        corpora = tmp_path / "c"
+        assert main(["generate", "lcc", "--data", str(ingested), "--out", str(corpora),
+                     "--seed", "1", "--workers", "1"]) == 0
+        path = corpora / "lcc.jsonl"
+        argv = ["verify", str(path)] if command == "verify" else ["mix", str(path), "--seed", "1", "--out", str(out)]
+    lines = path.read_bytes().split(b"\n")
+    # a valid two-byte character, then a byte that starts no character
+    lines[1] = lines[1][:1] + "\u00e9".encode() + b"\xff" + lines[1][1:]
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("INFO")]
+    assert err == [f"data error: {path}:2: not UTF-8 at column 3"]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_names_with_unicode_line_separators_round_trip(tmp_path):
+    # NEL, LINE SEPARATOR, FF and FS break lines for str.splitlines(),
+    # but a line of an input file ends only at LF, CRLF or CR
+    names = ["a\u0085b", "c\u2028d", "e\x0cf", "g\x1ch"]
+    train = tmp_path / "train.tsv"
+    train.write_text("".join(f"{names[i]}\t{names[(i + 1) % 4]}\t{names[(i + 2) % 4]}\n" for i in range(4)),
+                     encoding="utf-8")
+    data, out = tmp_path / "d", tmp_path / "o"
+    assert main(["ingest", "--train", str(train), "--out", str(data)]) == 0
+    assert main(["generate", "all", "--data", str(data), "--out", str(out), "--seed", "1", "--workers", "1"]) == 0
+    assert main(["verify", *map(str, sorted(out.glob("*.jsonl")))]) == 0
+    vocab = Vocabulary.load(data / "vocab.tsv")
+    assert sorted(vocab.entities) == sorted(vocab.relations) == sorted(names)
+
+
+def test_failed_ingest_leaves_no_file(dataset, tmp_path, capsys, monkeypatch):
+    def failing_stats(vocab, splits):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("kgsignals.cli.compute_stats", failing_stats)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["ingest", "--train", str(dataset), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: disk full"]
+    assert list(out.iterdir()) == []
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kgsignals.ingest import (
@@ -9,6 +11,8 @@ from kgsignals.ingest import (
     parse_hypergraph,
     parse_triples,
 )
+
+from oracles import avg_degree_oracle, random_graph
 
 
 def write(tmp_path, name, text):
@@ -136,3 +140,30 @@ def test_stats(tmp_path):
     assert stats.split_counts == {"train": 2, "valid": 1}
     assert stats.max_arity == 2
     assert stats.tuples_per_entity == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_avg_degree_matches_partner_sets_across_splits(seed):
+    rng = random.Random(seed)
+    facts, n_ent, n_rel = random_graph(rng, max_entities=20, max_relations=4, max_facts=40)
+    cut = rng.randrange(len(facts) + 1)
+    vocab = Vocabulary(
+        entities={f"e{i}": i for i in range(n_ent)}, relations={f"r{i}": i for i in range(n_rel)}
+    )
+    stats = compute_stats(vocab, {"train": facts[:cut], "valid": facts[cut:]})
+    assert stats.avg_degree == avg_degree_oracle(facts, n_ent)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_triples, "A\tr\tB\n\nB\ts\tC\nC\tr\tA\n"),
+    (parse_hypergraph, "r\tA\tB\tC\n\ns\tB\tC\nr\tC\tA\n"),
+])
+def test_lf_crlf_and_cr_line_endings_give_the_same_facts(tmp_path, parse, text):
+    parsed = []
+    for i, end in enumerate(["\n", "\r\n", "\r"]):
+        p = tmp_path / f"f{i}.tsv"
+        p.write_bytes(text.replace("\n", end).encode())
+        b = VocabBuilder()
+        parsed.append((parse(p, b), b.freeze()))
+    assert parsed[0] == parsed[1] == parsed[2]
+    assert len(parsed[0][0]) == 3
