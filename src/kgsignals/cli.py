@@ -15,8 +15,9 @@ masked position, then partner position, then path; centres by id, then
 radius. ``all.jsonl`` is copied from the task files by byte offset.
 Every file is written under a temporary name and renamed into place
 only when all of them have passed the check, so a failed run writes no
-corpus. ``mix`` checks each input record as it reads it, naming the
-input file.
+corpus. ``mix`` checks each input corpus as ``verify`` does, naming the
+input file, and refuses inputs whose vocabularies or record bounds
+differ from the first input's.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .corpus import (
     WrittenCorpus,
     check_and_serialize,
     check_corpus,
-    check_record,
     check_totals,
     corpus_header,
     generate_task_records,
@@ -323,12 +323,13 @@ def cmd_mix(args) -> int:
     meta = bounds = first = None
     for path in args.corpora:
         h, records = read_corpus(path)
+        check_corpus(path, h, records)
+        input_bounds = record_bounds(path, h)
         if meta is None:
             # the output carries this header's config and vocabulary
-            first = path
+            first, bounds = path, input_bounds
             meta = dict(h)
             meta.pop("counts", None)
-            bounds = record_bounds(path, meta)
         elif h.get("vocab_hash") != meta.get("vocab_hash"):
             # token ids of different vocabularies mean different things
             raise corpus_mod.CorpusFormatError(
@@ -336,8 +337,13 @@ def cmd_mix(args) -> int:
                 f"{meta.get('vocab_hash')} of {first}; "
                 "corpora of different vocabularies cannot be mixed"
             )
-        for i, r in enumerate(records):
-            check_record(path, i, bounds, r)
+        elif input_bounds != bounds:
+            # the output header must describe every record it carries
+            raise corpus_mod.CorpusFormatError(
+                f"{path}:1: {input_bounds} differs from {bounds} of {first}; "
+                "corpora of different record bounds cannot be mixed"
+            )
+        for r in records:
             r.weight = None
             prefixes.setdefault(r.task, []).append(weightless_prefix(r))
     try:

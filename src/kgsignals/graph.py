@@ -56,35 +56,48 @@ def cooccurrence_matrix(facts: Sequence[Fact], num_entities: int) -> sp.csr_matr
 
 
 class KnowledgeGraph:
-    """Read-only incidence index; build via :func:`build_index`.
+    """Read-only incidence index over ``facts``.
 
-    Holds the fact and relation incidence lists, built eagerly, and the
-    entity co-occurrence matrix (:meth:`cooccurrence_counts`), built from
-    the facts on first use. That matrix is the graph's only co-occurrence
-    structure: neighbours, path BFS, neighbourhood balls and IVA
-    matrices all read it. Lazily filled caches are idempotent, so
-    concurrent readers are safe.
+    The constructor validates the facts and builds the fact and relation
+    incidence lists in one pass over them. A fact of arity < 2 raises
+    :class:`MalformedTupleError` and an id out of range raises
+    :class:`UnknownIdError`, both naming the fact's index.
+
+    The entity co-occurrence matrix (:meth:`cooccurrence_counts`) is
+    built from the facts on first use. That matrix is the graph's only
+    co-occurrence structure: neighbours, path BFS, neighbourhood balls
+    and IVA matrices all read it. Lazily filled caches are idempotent,
+    so concurrent readers are safe.
+
+    Deterministic: fact lists ascend by fact index, and every set-valued
+    answer is independent of the order of ``facts``.
     """
 
-    def __init__(
-        self,
-        facts: tuple[Fact, ...],
-        num_entities: int,
-        num_relations: int,
-        facts_of_entity: tuple[tuple[int, ...], ...],
-        facts_of_relation: tuple[tuple[int, ...], ...],
-        entities_of_relation: tuple[frozenset[int], ...],
-        relations_of_entity: tuple[frozenset[int], ...],
-    ):
+    def __init__(self, facts: tuple[Fact, ...], num_entities: int, num_relations: int):
+        foe: list[list[int]] = [[] for _ in range(num_entities)]
+        for_: list[list[int]] = [[] for _ in range(num_relations)]
+        entity_sets: list[frozenset[int]] = []
+        for i, f in enumerate(facts):
+            if f.arity < 2:
+                raise MalformedTupleError(f"tuple {i}: arity {f.arity} < 2")
+            if not 0 <= f.relation < num_relations:
+                raise UnknownIdError(f"tuple {i}: relation id {f.relation} out of range")
+            for e in f.entities:
+                if not 0 <= e < num_entities:
+                    raise UnknownIdError(f"tuple {i}: entity id {e} out of range")
+            for_[f.relation].append(i)
+            es = frozenset(f.entities)
+            entity_sets.append(es)
+            for e in es:
+                foe[e].append(i)
         self.facts = facts
         self.num_entities = num_entities
         self.num_relations = num_relations
-        self._facts_of_entity = facts_of_entity
-        self._facts_of_relation = facts_of_relation
-        self._entities_of_relation = entities_of_relation
-        self._relations_of_entity = relations_of_entity
-        self._fact_entity_sets = tuple(frozenset(f.entities) for f in facts)
-        self._incident_cache: dict[int, frozenset[int]] = {}
+        self._facts_of_entity = tuple(map(tuple, foe))
+        self._facts_of_relation = tuple(map(tuple, for_))
+        self._fact_entity_sets = tuple(entity_sets)
+        self._entities_of_relation = tuple(frozenset().union(*(entity_sets[i] for i in fs)) for fs in for_)
+        self._relations_of_entity = tuple(frozenset(facts[i].relation for i in fs) for fs in foe)
         self._cooccurrence: sp.csr_matrix | None = None
         self._cooccurrence_rows: tuple[list[int], list[int], list[int]] | None = None
 
@@ -147,51 +160,13 @@ class KnowledgeGraph:
     def incident_relations(self, r: int, exclude: frozenset[int] = frozenset()) -> frozenset[int]:
         """Relations r' != r with E(r') intersecting E(r), minus ``exclude``."""
         self._check_relation(r)
-        base = self._incident_cache.get(r)
-        if base is None:
-            acc: set[int] = set()
-            for e in self._entities_of_relation[r]:
-                acc.update(self._relations_of_entity[e])
-            acc.discard(r)
-            base = frozenset(acc)
-            self._incident_cache[r] = base
-        if exclude:
-            return base - exclude
-        return base
+        out: set[int] = set()
+        for e in self._entities_of_relation[r]:
+            out.update(self._relations_of_entity[e])
+        out.discard(r)
+        return frozenset(out - exclude)
 
 
-def build_index(facts: list[Fact], num_entities: int, num_relations: int) -> KnowledgeGraph:
-    """Build the read-only incidence index.
-
-    Deterministic: internal orderings are ascending by id / fact position,
-    independent of input permutation for all set-valued answers.
-    """
-    foe: list[list[int]] = [[] for _ in range(num_entities)]
-    for_: list[list[int]] = [[] for _ in range(num_relations)]
-    eor: list[set[int]] = [set() for _ in range(num_relations)]
-    roe: list[set[int]] = [set() for _ in range(num_entities)]
-    for i, f in enumerate(facts):
-        if f.arity < 2:
-            raise MalformedTupleError(f"tuple {i}: arity {f.arity} < 2")
-        if not 0 <= f.relation < num_relations:
-            raise UnknownIdError(f"tuple {i}: relation id {f.relation} out of range")
-        for_[f.relation].append(i)
-        seen_here: set[int] = set()
-        for e in f.entities:
-            if not 0 <= e < num_entities:
-                raise UnknownIdError(f"tuple {i}: entity id {e} out of range")
-            if e not in seen_here:
-                seen_here.add(e)
-                foe[e].append(i)
-        eor[f.relation].update(seen_here)
-        for e in seen_here:
-            roe[e].add(f.relation)
-    return KnowledgeGraph(
-        facts=tuple(facts),
-        num_entities=num_entities,
-        num_relations=num_relations,
-        facts_of_entity=tuple(tuple(x) for x in foe),
-        facts_of_relation=tuple(tuple(x) for x in for_),
-        entities_of_relation=tuple(frozenset(s) for s in eor),
-        relations_of_entity=tuple(frozenset(s) for s in roe),
-    )
+def build_index(facts: Sequence[Fact], num_entities: int, num_relations: int) -> KnowledgeGraph:
+    """The :class:`KnowledgeGraph` of ``facts``."""
+    return KnowledgeGraph(tuple(facts), num_entities, num_relations)

@@ -47,10 +47,11 @@ class ParseError(Exception):
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The number and text of each non-empty line of the UTF-8 file
-    ``path``. A line ends at LF, CRLF or CR. Raises :class:`ParseError`
-    at the first line holding bytes that are not UTF-8."""
+    ``path``. A line ends at LF, CRLF or CR, and a byte-order mark that
+    starts the file is dropped. Raises :class:`ParseError` at the first
+    line holding bytes that are not UTF-8."""
     # undecodable bytes become lone surrogates, which do not encode back
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

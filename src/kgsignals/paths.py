@@ -84,7 +84,7 @@ def path_information_gain(g: KnowledgeGraph, path: RelationalPath) -> float:
 
 
 def information_gain_paths(
-    g: KnowledgeGraph, r: int, cfg: PathSearchConfig, cache: dict | None = None
+    g: KnowledgeGraph, r: int, cfg: PathSearchConfig, cache: dict[int, list[int]] | None = None
 ) -> list[RelationalPath]:
     """Beam-grown relational paths for query relation ``r``.
 
@@ -97,40 +97,22 @@ def information_gain_paths(
     sorted lexicographically.
 
     ``cache`` may be an initially-empty dict shared across calls on the
-    same graph to reuse entropy values and candidate orderings.
+    same graph. It maps each relation r' to its incident relations in
+    extension order, ascending H(candidate | r') then relation id.
     """
     k = cfg.beam_k
     if cache is None:
         cache = {}
-    ent_cache: dict[int, float] = cache.setdefault("ent", {})
-    cond_cache: dict[tuple[int, int], float] = cache.setdefault("cond", {})
-    order_cache: dict[int, list[int]] = cache.setdefault("order", {})
-
-    def ent(rel: int) -> float:
-        v = ent_cache.get(rel)
-        if v is None:
-            v = relation_entropy(g, rel)
-            ent_cache[rel] = v
-        return v
-
-    def cond(cand: int, last: int) -> float:
-        key = (cand, last)
-        v = cond_cache.get(key)
-        if v is None:
-            v = conditional_entropy(g, cand, last)
-            cond_cache[key] = v
-        return v
 
     def ordered(last: int) -> list[int]:
-        order = order_cache.get(last)
+        order = cache.get(last)
         if order is None:
-            order = sorted(
-                g.incident_relations(last), key=lambda rr: (cond(rr, last), rr)
+            order = cache[last] = sorted(
+                g.incident_relations(last), key=lambda rr: (conditional_entropy(g, rr, last), rr)
             )
-            order_cache[last] = order
         return order
 
-    seeds = sorted(g.incident_relations(r), key=lambda rr: (-ent(rr), rr))[:k]
+    seeds = sorted(g.incident_relations(r), key=lambda rr: (-relation_entropy(g, rr), rr))[:k]
     paths: list[RelationalPath] = [(s,) for s in seeds]
     frontier = list(paths)
     for _ in range(cfg.max_hops - 1):

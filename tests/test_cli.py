@@ -383,6 +383,61 @@ def test_mix_rejects_corpora_of_different_vocabularies(ingested, tmp_path, capsy
     assert main(["mix", corpora[0], corpora[0], "--seed", "1", "--out", str(mixed)]) == 0
 
 
+def _drop_last_record(tmp_path, ingested):
+    out = tmp_path / "c"
+    assert main(["generate", "khn", "--data", str(ingested), "--out", str(out),
+                 "--seed", "1", "--workers", "1"]) == 0
+    path = out / "khn.jsonl"
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    return [path], f"{path}: header counts "
+
+
+def _change_one_weight(tmp_path, ingested):
+    out = tmp_path / "c"
+    assert main(["generate", "all", "--data", str(ingested), "--out", str(out),
+                 "--seed", "1", "--workers", "1"]) == 0
+    path = out / "all.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "weight": 0.5})
+    path.write_text("\n".join(lines) + "\n")
+    return [path], f"{path}: record 0: weight 0.5 != alpha"
+
+
+def _two_max_lens(tmp_path, ingested):
+    paths = []
+    for name, max_len in (("a", 1024), ("b", 3)):
+        out = tmp_path / name
+        assert main(["generate", "sp", "--data", str(ingested), "--out", str(out), "--workers", "1",
+                     "--config", _config(tmp_path, seed=1, max_len=max_len)]) == 0
+        paths.append(out / "sp.jsonl")
+    return paths, f"{paths[1]}:1: "
+
+
+# (inputs, verify exit code, mix exit code). verify checks each corpus
+# alone, so only mix refuses corpora whose record bounds differ: the
+# mixture's header could not describe all of their records.
+REFUSED = [
+    pytest.param(_drop_last_record, 3, 3, id="counts_short_of_header"),
+    pytest.param(_change_one_weight, 3, 3, id="weight_not_alpha"),
+    pytest.param(_two_max_lens, 0, 2, id="different_max_len"),
+]
+
+
+@pytest.mark.parametrize("make_inputs,verify_rc,mix_rc", REFUSED)
+def test_mix_refuses_what_verify_refuses(ingested, tmp_path, capsys, make_inputs, verify_rc, mix_rc):
+    paths, message = make_inputs(tmp_path, ingested)
+    inputs = [str(p) for p in paths]
+    mixed = tmp_path / "mixed.jsonl"
+    for argv, rc in ((["verify", *inputs], verify_rc),
+                     (["mix", *inputs, "--seed", "1", "--out", str(mixed)], mix_rc)):
+        capsys.readouterr()
+        assert main(argv) == rc, argv
+        err = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("INFO")]
+        assert len(err) == (rc != 0), (argv, err)
+        assert rc == 0 or message in err[0], (argv, err)
+    assert not mixed.exists()
+
+
 def test_generate_on_edgeless_graph_warns_and_succeeds(tmp_path, caplog):
     train = tmp_path / "train.tsv"
     train.write_text("a\tr\tb\n")

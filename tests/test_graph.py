@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from kgsignals.graph import (
     Fact,
+    KnowledgeGraph,
     MalformedTupleError,
     UnknownIdError,
     build_index,
@@ -34,16 +35,23 @@ def test_single_tuple():
     assert g.relations_of_entity(1) == {0}
 
 
-def test_arity_validation():
-    with pytest.raises(MalformedTupleError, match="tuple 1"):
-        build_index([Fact(0, (0, 1)), Fact(0, (1,))], num_entities=2, num_relations=1)
+BUILDERS = pytest.mark.parametrize(
+    "build", [build_index, KnowledgeGraph], ids=["build_index", "KnowledgeGraph"]
+)
 
 
-def test_id_bounds_validation():
-    with pytest.raises(UnknownIdError):
-        build_index([Fact(0, (0, 9))], num_entities=2, num_relations=1)
-    with pytest.raises(UnknownIdError):
-        build_index([Fact(7, (0, 1))], num_entities=2, num_relations=1)
+@BUILDERS
+def test_arity_validation(build):
+    with pytest.raises(MalformedTupleError, match=r"^tuple 1: arity 1 < 2$"):
+        build((Fact(0, (0, 1)), Fact(0, (1,))), 2, 1)
+
+
+@BUILDERS
+def test_id_bounds_validation(build):
+    with pytest.raises(UnknownIdError, match=r"^tuple 0: entity id 9 out of range$"):
+        build((Fact(0, (0, 9)),), 2, 1)
+    with pytest.raises(UnknownIdError, match=r"^tuple 0: relation id 7 out of range$"):
+        build((Fact(7, (0, 1)),), 2, 1)
 
 
 def test_lookup_errors():
@@ -93,9 +101,13 @@ def test_matches_linear_scan_oracle(seed):
     for r in range(n_rel):
         assert g.entities_of_relation(r) == scan_entities_of_relation(facts, r)
         assert g.incident_relations(r) == scan_incident_relations(facts, n_rel, r, set())
+        assert g.facts_of_relation(r) == tuple(i for i, f in enumerate(facts) if f.relation == r)
     for e in range(n_ent):
         assert g.relations_of_entity(e) == scan_relations_of_entity(facts, e)
         assert g.neighbors(e) == scan_neighbors(facts, e)
+        assert g.facts_of_entity(e) == tuple(i for i, f in enumerate(facts) if e in f.entities)
+    for i, f in enumerate(facts):
+        assert g.fact_entity_set(i) == set(f.entities)
 
 
 @given(st.integers(0, 10_000))

@@ -162,6 +162,11 @@ class TestInformationGainPaths:
         got = information_gain_paths(g, r, cfg)
         want = ip_oracle(facts, n_ent, n_rel, r, cfg.beam_k, cfg.max_hops)
         assert got == want
+        # every relation with one shared cache, as corpus generation runs it
+        cache: dict[int, list[int]] = {}
+        for r in range(n_rel):
+            got = information_gain_paths(g, r, cfg, cache)
+            assert got == ip_oracle(facts, n_ent, n_rel, r, cfg.beam_k, cfg.max_hops)
 
 
 class TestGroundPaths:
