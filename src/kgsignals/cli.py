@@ -9,15 +9,20 @@ config file (``--config``, JSON) > built-in defaults; the effective
 configuration is embedded in every corpus header.
 
 ``generate`` checks and serializes each record in the worker that built
-it and holds one task's lines at a time. A task file lists its records
+it and holds one task's lines at a time. With ``--workers`` > 1 it forks
+its workers once per run, at the first task of at least 64 work items,
+and ends them before it returns, on an error too; smaller tasks run in
+the main process. A task file lists its records
 in work-item order, the same at any ``--workers``: facts by index, then
 masked position, then partner position, then path; centres by id, then
 radius. ``all.jsonl`` is copied from the task files by byte offset.
 Every file is written under a temporary name and renamed into place
 only when all of them have passed the check, so a failed run writes no
 corpus. ``mix`` checks each input corpus as ``verify`` does, naming the
-input file, and refuses inputs whose vocabularies or record bounds
-differ from the first input's.
+input file, and refuses inputs whose vocabularies, configs (apart from
+the seed) or record bounds differ from the first input's. The mixture
+keeps the first input's config and config hash; its top-level seed is
+the mix seed.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .corpus import (
     GenerationConfig,
     MixPlan,
     TASKS,
+    WorkerPool,
     WrittenCorpus,
     check_and_serialize,
     check_corpus,
@@ -285,14 +291,14 @@ def cmd_generate(args) -> int:
     workers = args.workers if args.workers and args.workers > 0 else (os.cpu_count() or 1)
     tasks = list(TASKS) if args.task == "all" else [args.task]
     meta = _corpus_meta(cfg, vocab)
-    with _staged_writes() as stage, ExitStack() as opened:
+    with _staged_writes() as stage, ExitStack() as opened, closing(WorkerPool()) as pool:
         written: dict[str, WrittenCorpus] = {}
         for task in tasks:
             t0 = time.monotonic()
             path = out / f"{task}.jsonl"
             label = f"{path} (not written)"
             finish = partial(check_and_serialize, label, record_bounds(label, meta))
-            result = generate_task_records(g, vocab, task, cfg, workers=workers, finish=finish)
+            result = generate_task_records(g, vocab, task, cfg, workers=workers, finish=finish, pool=pool)
             log.info(
                 "%s: %d records (%d skipped) in %.1fs",
                 task, len(result.records), result.skipped, time.monotonic() - t0,
@@ -318,16 +324,20 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _config_but_seed(header: dict) -> dict:
+    return {k: v for k, v in (header.get("config") or {}).items() if k != "seed"}
+
+
 def cmd_mix(args) -> int:
     prefixes: dict[str, list[str]] = {}
-    meta = bounds = first = None
+    meta = bounds = config = first = None
     for path in args.corpora:
         h, records = read_corpus(path)
         check_corpus(path, h, records)
-        input_bounds = record_bounds(path, h)
+        input_bounds, input_config = record_bounds(path, h), _config_but_seed(h)
         if meta is None:
             # the output carries this header's config and vocabulary
-            first, bounds = path, input_bounds
+            first, bounds, config = path, input_bounds, input_config
             meta = dict(h)
             meta.pop("counts", None)
         elif h.get("vocab_hash") != meta.get("vocab_hash"):
@@ -337,8 +347,16 @@ def cmd_mix(args) -> int:
                 f"{meta.get('vocab_hash')} of {first}; "
                 "corpora of different vocabularies cannot be mixed"
             )
+        elif input_config != config:
+            # the output header's one config must describe every record;
+            # corpora generated with different seeds still mix
+            diff = sorted(k for k in config.keys() | input_config.keys() if config.get(k) != input_config.get(k))
+            raise corpus_mod.CorpusFormatError(
+                f"{path}:1: config differs from that of {first} in {diff}; "
+                "corpora of different configs cannot be mixed"
+            )
         elif input_bounds != bounds:
-            # the output header must describe every record it carries
+            # under one config, the vocabulary sizes can still differ
             raise corpus_mod.CorpusFormatError(
                 f"{path}:1: {input_bounds} differs from {bounds} of {first}; "
                 "corpora of different record bounds cannot be mixed"

@@ -30,9 +30,11 @@ import hashlib
 import json
 import math
 import mmap
+import multiprocessing as mp
 import random
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence, Sized
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, fields, asdict
 from functools import partial
 from pathlib import Path
@@ -113,6 +115,10 @@ class GenerationConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
+# json.dumps with keyword arguments would build a new encoder per call
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @dataclass
 class TaskRecord:
     task: str
@@ -124,7 +130,7 @@ class TaskRecord:
     flags: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _RECORD_ENCODER.encode(
             {
                 "task": self.task,
                 "input": self.input_tokens,
@@ -132,9 +138,7 @@ class TaskRecord:
                 "prov": self.provenance,
                 "weight": self.weight,
                 "flags": list(self.flags),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
     @classmethod
@@ -316,46 +320,95 @@ _CHUNK_FNS = {
     "iva": _gen_iva_chunk,
 }
 
-# worker-pool state, inherited by forked children
-_POOL_STATE: dict | None = None
+
+def _task_state(g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig, task: str) -> dict:
+    """What the chunk functions of ``task`` read: the graph, vocabulary
+    and config, plus the path search config of sp and ip, ip's candidate
+    tries (one per relation, shared by every fact of it) and the
+    neighbourhood index of khn and lcc."""
+    state: dict = {"g": g, "vocab": vocab, "cfg": cfg}
+    if task in ("sp", "ip"):
+        pcfg = state["pcfg"] = cfg.path_config()
+        if task == "ip":
+            ip_cache: dict = {}
+            state["ip_candidates"] = {
+                r: CandidateTrie(information_gain_paths(g, r, pcfg, ip_cache))
+                for r in range(g.num_relations)
+            }
+    elif task in ("khn", "lcc"):
+        state["index"] = NeighborhoodIndex(g, cfg.hops)
+    return state
 
 
-def _run_chunk(task: str, state: dict, items: list) -> list:
+def _run_chunk(task: str, state: dict, finish, items: list) -> list:
     records = _CHUNK_FNS[task](state, items)
-    return records if state["finish"] is None else state["finish"](records)
+    return records if finish is None else finish(records)
 
 
-def _pool_run(args: tuple[str, list]) -> list:
-    task, chunk = args
-    assert _POOL_STATE is not None
-    return _run_chunk(task, _POOL_STATE, chunk)
+# set in a forked worker only: the (graph, vocabulary, config) it was
+# forked with, the last task it ran chunks of, and that task's state
+_WORKER: dict = {}
 
 
-def _run_chunks(task: str, state: dict, items: list, workers: int) -> list:
+def _init_worker(g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig) -> None:
+    _WORKER.update(run=(g, vocab, cfg), task=None, state=None)
+
+
+def _worker_run(args: tuple) -> list:
+    task, finish, items = args
+    if _WORKER["task"] != task:
+        _WORKER["state"] = None  # free the previous task's state first
+        _WORKER["state"] = _task_state(*_WORKER["run"], task)
+        _WORKER["task"] = task
+    return _run_chunk(task, _WORKER["state"], finish, items)
+
+
+class WorkerPool:
+    """Forked worker processes for :func:`generate_task_records`, shared
+    by the tasks of one run.
+
+    The workers are forked when a task first needs them and inherit the
+    graph, vocabulary and config through the fork, so nothing of the
+    graph is pickled. A later task on the same three objects and worker
+    count reuses them; a task on others replaces them. A worker builds a
+    task's state on its first chunk of that task and keeps only the
+    current task's. :meth:`close` ends the workers."""
+
+    def __init__(self) -> None:
+        self._pool = None
+        self._forked_for: tuple = ()
+
+    def map(self, run: tuple, workers: int, task: str, finish, chunks: list[list]) -> list[list]:
+        """Each chunk's records, or what ``finish`` made of them, in chunk
+        order; ``run`` is (graph, vocabulary, config)."""
+        key = (*run, workers)
+        if self._pool is None or key != self._forked_for:
+            self.close()
+            # built once here instead of once in every worker
+            run[0].cooccurrence_rows()
+            self._pool = mp.get_context("fork").Pool(workers, initializer=_init_worker, initargs=run)
+            self._forked_for = key
+        return self._pool.map(_worker_run, [(task, finish, c) for c in chunks])
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.terminate()  # also joins the workers
+            self._pool, self._forked_for = None, ()
+
+
+def _run_chunks(pool: WorkerPool, run: tuple, task: str, finish, items: list, workers: int) -> list:
     """Run ``items`` in chunks, four per worker, and join the chunks'
-    records in item order. With one worker, or too few items to share,
-    the chunks run one after another in this process, so that only one
-    chunk's records exist at a time when ``finish`` serializes them."""
+    records in item order. With one worker, too few items to share or no
+    fork start method, the chunks run one after another in this process,
+    so that only one chunk's records exist at a time when ``finish``
+    serializes them."""
     chunk_size = max(1, math.ceil(len(items) / (max(workers, 1) * 4)))
     chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-    ctx = None
-    if workers > 1 and len(items) >= 64:
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:
-            pass
-    if ctx is None:
-        results = [_run_chunk(task, state, c) for c in chunks]
+    if workers > 1 and len(items) >= 64 and "fork" in mp.get_all_start_methods():
+        results = pool.map(run, workers, task, finish, chunks)
     else:
-        global _POOL_STATE
-        _POOL_STATE = state
-        try:
-            with ctx.Pool(workers) as pool:
-                results = pool.map(_pool_run, [(task, c) for c in chunks])
-        finally:
-            _POOL_STATE = None
+        state = _task_state(*run, task)
+        results = [_run_chunk(task, state, finish, c) for c in chunks]
     return [r for chunk in results for r in chunk]
 
 
@@ -366,6 +419,7 @@ def generate_task_records(
     cfg: GenerationConfig,
     workers: int = 1,
     finish=None,
+    pool: WorkerPool | None = None,
 ) -> GenerationResult:
     """Generate all records for one task, in work-item order.
     Deterministic under the config seed and independent of ``workers``.
@@ -375,19 +429,15 @@ def generate_task_records(
     count the others as ``skipped``. ``finish``, when given, maps each
     chunk's record list to one item per record in the process that
     built the chunk, such as :func:`check_and_serialize`; ``records``
-    then holds those items, in the same order."""
+    then holds those items, in the same order.
+
+    With ``workers`` > 1 and the fork start method, a task of at least
+    64 items runs on the workers of ``pool``, which the tasks of one run
+    share, or without it on a pool that lasts this call. Smaller tasks
+    run in this process."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    state: dict = {"g": g, "vocab": vocab, "cfg": cfg, "finish": finish}
     if task in ("sp", "ip"):
-        pcfg = state["pcfg"] = cfg.path_config()
-        if task == "ip":
-            ip_cache: dict = {}
-            # one trie per relation, shared by every fact of it
-            state["ip_candidates"] = {
-                r: CandidateTrie(information_gain_paths(g, r, pcfg, ip_cache))
-                for r in range(g.num_relations)
-            }
         # every fact pairs each of its positions, masked, with every other
         items = [
             (i, m, p)
@@ -396,15 +446,14 @@ def generate_task_records(
             for p in range(f.arity)
             if p != m
         ]
-        return GenerationResult(_run_chunks(task, state, items, workers), 0)
-    # a center without a neighbour has an empty ball and no IVA matrix
-    centers = [e for e in range(g.num_entities) if g.neighbors(e)]
-    if task == "iva":
-        items = [(e, i % 2 == 1) for i, e in enumerate(centers)]
+        skipped = 0
     else:
-        state["index"] = NeighborhoodIndex(g, cfg.hops)
-        items = centers
-    return GenerationResult(_run_chunks(task, state, items, workers), g.num_entities - len(centers))
+        # a center without a neighbour has an empty ball and no IVA matrix
+        centers = [e for e in range(g.num_entities) if g.neighbors(e)]
+        items = [(e, i % 2 == 1) for i, e in enumerate(centers)] if task == "iva" else centers
+        skipped = g.num_entities - len(centers)
+    with closing(WorkerPool()) if pool is None else nullcontext(pool) as pool:
+        return GenerationResult(_run_chunks(pool, (g, vocab, cfg), task, finish, items, workers), skipped)
 
 
 def mix_multitask(

@@ -63,11 +63,14 @@ class KnowledgeGraph:
     :class:`MalformedTupleError` and an id out of range raises
     :class:`UnknownIdError`, both naming the fact's index.
 
-    The entity co-occurrence matrix (:meth:`cooccurrence_counts`) is
-    built from the facts on first use. That matrix is the graph's only
+    Two caches are built from the facts on first use. The entity
+    co-occurrence matrix (:meth:`cooccurrence_counts`, and its rows as
+    lists, :meth:`cooccurrence_rows`) is the graph's only relation-blind
     co-occurrence structure: neighbours, path BFS, neighbourhood balls
-    and IVA matrices all read it. Lazily filled caches are idempotent,
-    so concurrent readers are safe.
+    and IVA matrices all read it. :meth:`relation_neighbors` maps, for
+    one relation at a time, each entity to the entities it shares a fact
+    of that relation with; the ip path search steps by it. Lazily filled
+    caches are idempotent, so concurrent readers are safe.
 
     Deterministic: fact lists ascend by fact index, and every set-valued
     answer is independent of the order of ``facts``.
@@ -100,6 +103,7 @@ class KnowledgeGraph:
         self._relations_of_entity = tuple(frozenset(facts[i].relation for i in fs) for fs in foe)
         self._cooccurrence: sp.csr_matrix | None = None
         self._cooccurrence_rows: tuple[list[int], list[int], list[int]] | None = None
+        self._relation_neighbors: list[dict[int, frozenset[int]] | None] = [None] * num_relations
 
     # -- id validation -------------------------------------------------
 
@@ -156,6 +160,23 @@ class KnowledgeGraph:
             m = self.cooccurrence_counts()
             self._cooccurrence_rows = (m.indptr.tolist(), m.indices.tolist(), m.data.tolist())
         return self._cooccurrence_rows
+
+    def relation_neighbors(self, r: int) -> dict[int, frozenset[int]]:
+        """Each entity of an ``r`` fact mapped to the entities of its ``r``
+        facts, itself included. An entity with one ``r`` fact maps to that
+        fact's entity set, shared, not copied. Built on first use."""
+        self._check_relation(r)
+        nb = self._relation_neighbors[r]
+        if nb is None:
+            sets_of: dict[int, list[frozenset[int]]] = {}
+            for fi in self._facts_of_relation[r]:
+                es = self._fact_entity_sets[fi]
+                for e in es:
+                    sets_of.setdefault(e, []).append(es)
+            nb = self._relation_neighbors[r] = {
+                e: sets[0] if len(sets) == 1 else frozenset().union(*sets) for e, sets in sets_of.items()
+            }
+        return nb
 
     def incident_relations(self, r: int, exclude: frozenset[int] = frozenset()) -> frozenset[int]:
         """Relations r' != r with E(r') intersecting E(r), minus ``exclude``."""

@@ -203,26 +203,23 @@ def ground_paths(
 def _step_frontier(
     g: KnowledgeGraph, frontier: frozenset[int], rel: int, exclude_fact: int | None
 ) -> frozenset[int]:
-    if not frontier:
-        return frozenset()
+    """The entities that share a fact of relation ``rel``, other than
+    ``exclude_fact``, with some entity of ``frontier``: the union of the
+    frontier entities' :meth:`~KnowledgeGraph.relation_neighbors`. Only
+    a frontier entity inside the excluded fact, when that fact has
+    relation ``rel``, has its part rebuilt from its other ``rel`` facts."""
+    nb = g.relation_neighbors(rel)
+    excluded: frozenset[int] = frozenset()
+    if exclude_fact is not None and g.facts[exclude_fact].relation == rel:
+        excluded = g.fact_entity_set(exclude_fact)
     out: set[int] = set()
-    rel_facts = g.facts_of_relation(rel)
-    if len(frontier) < len(rel_facts):
-        seen: set[int] = set()
-        for u in frontier:
+    for u in frontier:
+        if u in excluded:
             for fi in g.facts_of_entity(u):
-                if fi == exclude_fact or fi in seen:
-                    continue
-                seen.add(fi)
-                if g.facts[fi].relation == rel:
+                if fi != exclude_fact and g.facts[fi].relation == rel:
                     out.update(g.fact_entity_set(fi))
-    else:
-        for fi in rel_facts:
-            if fi == exclude_fact:
-                continue
-            es = g.fact_entity_set(fi)
-            if not es.isdisjoint(frontier):
-                out.update(es)
+        else:
+            out.update(nb.get(u, ()))
     return frozenset(out)
 
 

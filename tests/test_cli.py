@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 
 import pytest
@@ -214,12 +215,16 @@ def wide(tmp_path):
     return data
 
 
-def test_generate_all_is_byte_identical_across_worker_counts(wide, tmp_path):
+def test_generate_all_is_byte_identical_across_worker_counts(wide, tmp_path, pools_made):
     outs = []
     for workers in (1, 2, 3):
         out = tmp_path / f"w{workers}"
+        pools_made.clear()
         assert main(["generate", "all", "--data", str(wide), "--out", str(out),
                      "--seed", "4", "--workers", str(workers)]) == 0
+        # one pool serves all five tasks, and no worker outlives the run
+        assert len(pools_made) == (workers > 1)
+        assert multiprocessing.active_children() == []
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert sorted(outs[0]) == ["all.jsonl", "ip.jsonl", "iva.jsonl", "khn.jsonl", "lcc.jsonl",
                                "mixplan.json", "sp.jsonl"]
@@ -260,6 +265,7 @@ def test_failed_generate_leaves_no_file(wide, tmp_path, capsys, monkeypatch, wor
     assert (f"{out / 'ip.jsonl'} (not written): record f00000000:m00:p01:x0000: "
             "input does not start with its task token") in err[0]
     assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_corrupted_corpus_exit_3(ingested, tmp_path):
@@ -413,13 +419,25 @@ def _two_max_lens(tmp_path, ingested):
     return paths, f"{paths[1]}:1: "
 
 
+def _two_hops(tmp_path, ingested):
+    paths = []
+    for name, hops in (("a", "1"), ("b", "3")):
+        out = tmp_path / name
+        assert main(["generate", "khn", "--data", str(ingested), "--out", str(out),
+                     "--seed", "1", "--hops", hops, "--workers", "1"]) == 0
+        paths.append(out / "khn.jsonl")
+    return paths, f"{paths[1]}:1: config differs from that of {paths[0]} in ['hops']"
+
+
 # (inputs, verify exit code, mix exit code). verify checks each corpus
-# alone, so only mix refuses corpora whose record bounds differ: the
-# mixture's header could not describe all of their records.
+# alone, so only mix refuses corpora whose configs (other than the seed)
+# or record bounds differ: the mixture's header could not describe all
+# of their records.
 REFUSED = [
     pytest.param(_drop_last_record, 3, 3, id="counts_short_of_header"),
     pytest.param(_change_one_weight, 3, 3, id="weight_not_alpha"),
     pytest.param(_two_max_lens, 0, 2, id="different_max_len"),
+    pytest.param(_two_hops, 0, 2, id="different_hops"),
 ]
 
 
@@ -436,6 +454,24 @@ def test_mix_refuses_what_verify_refuses(ingested, tmp_path, capsys, make_inputs
         assert len(err) == (rc != 0), (argv, err)
         assert rc == 0 or message in err[0], (argv, err)
     assert not mixed.exists()
+
+
+def test_mix_takes_corpora_of_different_seeds(ingested, tmp_path):
+    paths = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"s{seed}"
+        assert main(["generate", "iva", "--data", str(ingested), "--out", str(out),
+                     "--seed", seed, "--workers", "1"]) == 0
+        paths.append(out / "iva.jsonl")
+    mixed = tmp_path / "mixed.jsonl"
+    assert main(["mix", *map(str, paths), "--seed", "9", "--out", str(mixed)]) == 0
+    first, _ = read_corpus(paths[0])
+    header, records = read_corpus(mixed)
+    # the first input's config, and the mix seed on top
+    assert header["config"] == first["config"] and header["config"]["seed"] == 1
+    assert header["config_hash"] == first["config_hash"]
+    assert header["seed"] == 9
+    assert header["counts"] == {"iva": 2 * first["counts"]["iva"]} == {"iva": len(records)}
 
 
 def test_generate_on_edgeless_graph_warns_and_succeeds(tmp_path, caplog):

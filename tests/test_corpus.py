@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 from collections import Counter
 from dataclasses import replace
@@ -422,16 +423,25 @@ class TestSerialization:
 
 class TestWorkers:
     @pytest.mark.parametrize("task", ["sp", "ip", "khn", "lcc", "iva"])
-    def test_worker_count_does_not_change_output(self, task):
+    def test_worker_count_does_not_change_output(self, task, pools_made):
+        # a ring makes every one of the 80 entities a centre, over the 64
+        # items a task needs to reach the pool; the rest is random facts
+        # of arity 2 to 4, and entities 80 and 81 are in no fact
         rng = random.Random(13)
-        facts, n_ent, n_rel = random_graph(rng, max_entities=40, max_relations=5, max_facts=50)
+        n_ent, n_rel = 82, 5
+        facts = [Fact(rng.randrange(n_rel), (e, (e + 1) % 80)) for e in range(80)]
+        facts += [Fact(rng.randrange(n_rel), tuple(rng.randrange(80) for _ in range(rng.randint(2, 4))))
+                  for _ in range(30)]
         g = build_index(facts, n_ent, n_rel)
         v = make_vocab(n_ent, n_rel)
         cfg = GenerationConfig(seed=4, hops=2)
         base = generate_task_records(g, v, task, cfg, workers=1)
+        assert pools_made == []
         multi = generate_task_records(g, v, task, cfg, workers=3)
+        assert len(pools_made) == 1
+        assert multiprocessing.active_children() == []
         assert [r.to_json() for r in base.records] == [r.to_json() for r in multi.records]
-        assert base.skipped == multi.skipped
+        assert base.skipped == multi.skipped == (2 if task in ("khn", "lcc", "iva") else 0)
 
 
 @pytest.mark.parametrize("workers", [1, 3])

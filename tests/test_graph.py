@@ -102,6 +102,16 @@ def test_matches_linear_scan_oracle(seed):
         assert g.entities_of_relation(r) == scan_entities_of_relation(facts, r)
         assert g.incident_relations(r) == scan_incident_relations(facts, n_rel, r, set())
         assert g.facts_of_relation(r) == tuple(i for i, f in enumerate(facts) if f.relation == r)
+        r_facts = [i for i, f in enumerate(facts) if f.relation == r]
+        want = {}
+        for i in r_facts:
+            for e in facts[i].entities:
+                want.setdefault(e, set()).update(facts[i].entities)
+        assert g.relation_neighbors(r) == want
+        for e, got in g.relation_neighbors(r).items():
+            only = [i for i in r_facts if e in facts[i].entities]
+            # one fact: its own entity set, not a copy
+            assert (got is g.fact_entity_set(only[0])) == (len(only) == 1)
     for e in range(n_ent):
         assert g.relations_of_entity(e) == scan_relations_of_entity(facts, e)
         assert g.neighbors(e) == scan_neighbors(facts, e)

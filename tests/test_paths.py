@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -211,6 +212,37 @@ class TestGroundPaths:
             got = ground_paths(g, e_i, e_j, cands, exclude_fact=excl)
             want = [p for p in cands if grounding_oracle(facts, e_i, e_j, p, excl)]
             assert got == want
+
+    # graphs whose query facts stress the exclusion rule: (facts, entities)
+    EXCLUSION_CASES = {
+        # an excluded r(a, b, a): a is twice in it, b only there
+        "repeated_entity": ([Fact(0, (0, 1, 0)), Fact(0, (0, 2)), Fact(1, (2, 1)), Fact(0, (1, 3))], 4),
+        # two copies of r(a, b): excluding one keeps the other
+        "parallel_copies": ([Fact(0, (0, 1)), Fact(0, (0, 1)), Fact(1, (1, 2)), Fact(0, (2, 0))], 3),
+        # a hyperedge holding the query pair joins it without the query fact
+        "pair_in_hyperedge": ([Fact(0, (0, 1)), Fact(0, (2, 0, 3, 1)), Fact(1, (3, 4)), Fact(0, (4, 0))], 5),
+    }
+
+    @pytest.mark.parametrize("case", [*EXCLUSION_CASES, *(f"random{seed}" for seed in range(30))])
+    def test_excluding_each_query_fact_matches_oracle(self, case):
+        # every (fact, masked position, partner position) with the fact
+        # itself excluded, as generate asks; the candidates are every
+        # relation sequence of up to three relations, repeats included
+        if case in self.EXCLUSION_CASES:
+            facts, n_ent = self.EXCLUSION_CASES[case]
+            n_rel = 2
+        else:
+            rng = random.Random(int(case[len("random"):]))
+            facts, n_ent, n_rel = random_graph(rng, max_entities=12, max_relations=3, max_facts=16, max_arity=4)
+        g = build_index(facts, n_ent, n_rel)
+        cands = sorted(c for k in (1, 2, 3) for c in product(range(n_rel), repeat=k))
+        trie = CandidateTrie(cands)
+        for i, f in enumerate(facts):
+            for m, e_i in enumerate(f.entities):
+                for p, e_j in enumerate(f.entities):
+                    if p != m:
+                        want = [c for c in cands if grounding_oracle(facts, e_i, e_j, c, i)]
+                        assert ground_paths(g, e_i, e_j, trie, exclude_fact=i) == want, (i, m, p)
 
     def test_trie_iterates_distinct_sorted_paths(self):
         trie = CandidateTrie([(1,), (0, 2), (1,), (0,), (0, 1, 3)])
