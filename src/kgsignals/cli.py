@@ -118,7 +118,9 @@ def _build_parser() -> _Parser:
     sp_gen.add_argument("--sp-cap", type=int, help="max shortest-path sequences per query (default 16)")
     sp_gen.add_argument("--iva-cap", type=int, help="matrix size cap (default 30)")
     sp_gen.add_argument("--corruption-rate", type=float, help="negative value-resample rate (default 0.10)")
-    sp_gen.add_argument("--workers", type=int, default=0, help="worker processes (0 = cpu count)")
+    sp_gen.add_argument(
+        "--workers", type=int, default=0, help="worker processes (0 = the CPUs this process may run on)"
+    )
 
     sp_mix = sub.add_parser("mix", help="combine per-task corpora into the multitask stream")
     sp_mix.add_argument("corpora", nargs="+", help="per-task corpus files")
@@ -276,6 +278,14 @@ def _write_mixture(stage, path: Path, prefixes: dict, seed: int, meta: dict) -> 
     return plan
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_generate(args) -> int:
     if args.workers < 0:
         raise UsageError(f"--workers must be >= 0, got {args.workers}")
@@ -288,7 +298,7 @@ def cmd_generate(args) -> int:
     facts = _read_tuples(train_path)
     g = build_index(facts, vocab.num_entities, vocab.num_relations)
     out = _outdir(args)
-    workers = args.workers if args.workers and args.workers > 0 else (os.cpu_count() or 1)
+    workers = args.workers or _usable_cpus()
     tasks = list(TASKS) if args.task == "all" else [args.task]
     meta = _corpus_meta(cfg, vocab)
     with _staged_writes() as stage, ExitStack() as opened, closing(WorkerPool()) as pool:

@@ -3,6 +3,11 @@
 Entities and relations are dense 0-based integer ids assigned at ingest.
 A fact is a relation applied to an ordered list of two or more entities;
 arity-2 facts are ordinary knowledge-graph triples in the form r(h, t).
+
+Entity co-occurrence is counted by one builder,
+:func:`cooccurrence_arrays`, in numpy alone. scipy is imported only when
+:meth:`KnowledgeGraph.cooccurrence_counts` first wraps those arrays as a
+sparse matrix, so commands that never ask for it do not load scipy.
 """
 
 from __future__ import annotations
@@ -10,9 +15,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class GraphError(Exception):
@@ -39,20 +47,27 @@ class Fact:
         return len(self.entities)
 
 
-def cooccurrence_matrix(facts: Sequence[Fact], num_entities: int) -> sp.csr_matrix:
-    """Symmetric entity-by-entity co-occurrence counts, as int64 CSR.
+def cooccurrence_arrays(facts: Sequence[Fact], num_entities: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric entity-by-entity co-occurrence counts, as the int64
+    ``indptr``, ``indices`` and ``data`` arrays of a CSR matrix.
 
     Every fact adds 1 to cell (a, b) for each unordered pair of its
     positions holding a and b, so ``r(a, b, a)`` adds 2 to (a, b) and
-    1 to the diagonal cell (a, a). Stored cells are positive and the
-    column indices of each row ascend.
+    1 to the diagonal cell (a, a). Stored cells are positive, the column
+    indices of each row ascend and ``indptr`` has ``num_entities + 1``
+    entries.
     """
     pairs = np.array([p for f in facts for p in combinations(f.entities, 2)], dtype=np.int64).reshape(-1, 2)
     n = num_entities
-    # a counts each position pair once, at (earlier, later) position;
-    # a + a.T counts it in both orientations and a same-entity pair twice
-    a = sp.csr_matrix((np.ones(len(pairs), dtype=np.int64), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    return (a + a.T - sp.diags(a.diagonal(), dtype=np.int64)).tocsr()
+    a, b = pairs[:, 0], pairs[:, 1]
+    off = a != b
+    # cell (a, b) as the key a*n + b, which fits int64 for n < 3e9; a
+    # pair counts in both orientations, a same-entity pair once
+    keys, data = np.unique(np.concatenate((a * n + b, b[off] * n + a[off])), return_counts=True)
+    rows, indices = np.divmod(keys, n)  # keys is empty when n is 0, so nothing divides by 0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, indices, data
 
 
 class KnowledgeGraph:
@@ -64,13 +79,15 @@ class KnowledgeGraph:
     :class:`UnknownIdError`, both naming the fact's index.
 
     Two caches are built from the facts on first use. The entity
-    co-occurrence matrix (:meth:`cooccurrence_counts`, and its rows as
-    lists, :meth:`cooccurrence_rows`) is the graph's only relation-blind
+    co-occurrence matrix (:meth:`cooccurrence_counts`, the scipy CSR matrix
+    of :func:`cooccurrence_arrays`, and its rows as lists,
+    :meth:`cooccurrence_rows`) is the graph's only relation-blind
     co-occurrence structure: neighbours, path BFS, neighbourhood balls
-    and IVA matrices all read it. :meth:`relation_neighbors` maps, for
-    one relation at a time, each entity to the entities it shares a fact
-    of that relation with; the ip path search steps by it. Lazily filled
-    caches are idempotent, so concurrent readers are safe.
+    and IVA matrices all read it, and building it imports scipy.
+    :meth:`relation_neighbors` maps, for one relation at a time, each
+    entity to the entities it shares a fact of that relation with; the
+    ip path search steps by it. Lazily filled caches are idempotent, so
+    concurrent readers are safe.
 
     Deterministic: fact lists ascend by fact index, and every set-valued
     answer is independent of the order of ``facts``.
@@ -147,9 +164,14 @@ class KnowledgeGraph:
         return frozenset(m.indices[m.indptr[e] : m.indptr[e + 1]].tolist()) - {e}
 
     def cooccurrence_counts(self) -> sp.csr_matrix:
-        """:func:`cooccurrence_matrix` of the facts, built once, on first use."""
+        """:func:`cooccurrence_arrays` of the facts as a scipy CSR matrix,
+        built once, on first use."""
         if self._cooccurrence is None:
-            self._cooccurrence = cooccurrence_matrix(self.facts, self.num_entities)
+            import scipy.sparse as sp
+
+            indptr, indices, data = cooccurrence_arrays(self.facts, self.num_entities)
+            n = self.num_entities
+            self._cooccurrence = sp.csr_matrix((data, indices, indptr), shape=(n, n))
         return self._cooccurrence
 
     def cooccurrence_rows(self) -> tuple[list[int], list[int], list[int]]:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Fact, cooccurrence_matrix
+from .graph import Fact, cooccurrence_arrays
 
 # Reserved special tokens; their ids form a contiguous block below all
 # entity and relation token ids. Order is part of the file format.
@@ -280,8 +280,9 @@ def compute_stats(vocab: Vocabulary, splits: dict[str, list[Fact]]) -> DatasetSt
     tpe = total / n_ent if n_ent else 0.0
     # average degree: distinct co-occurrence partners per entity, the
     # off-diagonal cells of the co-occurrence matrix
-    m = cooccurrence_matrix(all_facts, n_ent)
-    avg_deg = (m.nnz - np.count_nonzero(m.diagonal())) / n_ent if n_ent else 0.0
+    indptr, indices, _ = cooccurrence_arrays(all_facts, n_ent)
+    rows = np.repeat(np.arange(n_ent), np.diff(indptr))
+    avg_deg = np.count_nonzero(indices != rows) / n_ent if n_ent else 0.0
     return DatasetStats(
         num_entities=n_ent,
         num_relations=vocab.num_relations,

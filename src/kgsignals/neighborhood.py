@@ -26,11 +26,14 @@ the module-level functions are thin wrappers over the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import KnowledgeGraph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class EmptyNeighborhoodError(Exception):
@@ -125,7 +128,8 @@ class NeighborhoodIndex:
         self.g = g
         self.max_hops = max_hops
         w = self.weighted = g.cooccurrence_counts()
-        self._pattern = sp.csr_matrix((np.ones_like(w.data), w.indices, w.indptr), shape=w.shape)
+        # w's own class, so that this module never imports scipy itself
+        self._pattern = type(w)((np.ones_like(w.data), w.indices, w.indptr), shape=w.shape)
         self._diag = w.diagonal()
         self._center = -1
         self._balls: list[np.ndarray] = []

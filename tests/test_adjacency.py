@@ -15,9 +15,10 @@ from kgsignals.adjacency import (
     relationless_adjacency,
     unflatten_adjacency,
 )
-from kgsignals.graph import Fact, build_index
+from kgsignals.graph import Fact, build_index, cooccurrence_arrays
+from kgsignals.ingest import Vocabulary, compute_stats
 
-from oracles import dense_adjacency, permutation_oracle, random_graph
+from oracles import avg_degree_oracle, dense_adjacency, permutation_oracle, random_graph
 
 
 class TestRelationlessAdjacency:
@@ -46,13 +47,22 @@ class TestRelationlessAdjacency:
         a = relationless_adjacency(g, [0, 1, 2])
         assert a.values.tolist() == [[1, 2, 1], [2, 0, 3], [1, 3, 1]]
 
-    @pytest.mark.parametrize("seed", range(50))
+    @pytest.mark.parametrize("seed", [*range(50), "no-facts", "no-entities"])
     def test_matches_dense_oracle(self, seed):
-        rng = random.Random(seed)
-        facts, n_ent, n_rel = random_graph(rng, max_entities=12, max_relations=4, max_facts=30)
-        if seed % 2:
-            # r(a, b, a) and an arity-3 fact of one entity
-            facts += [Fact(0, (0, 1, 0)), Fact(0, (2, 2, 2))]
+        if seed == "no-facts":
+            facts, n_ent, n_rel = [], 4, 1
+        elif seed == "no-entities":
+            facts, n_ent, n_rel = [], 0, 1
+        else:
+            rng = random.Random(seed)
+            facts, n_ent, n_rel = random_graph(rng, max_entities=12, max_relations=4, max_facts=30)
+            if seed % 2:
+                # r(a, b, a) and an arity-3 fact of one entity
+                facts += [Fact(0, (0, 1, 0)), Fact(0, (2, 2, 2))]
+            if seed % 3 == 0:
+                # trailing entities in no fact have empty rows, as
+                # entities that occur only in --valid or --test do
+                n_ent += 2
         g = build_index(facts, n_ent, n_rel)
         full = dense_adjacency(facts, n_ent)
         a = relationless_adjacency(g, list(range(n_ent)))
@@ -60,7 +70,14 @@ class TestRelationlessAdjacency:
         m = g.cooccurrence_counts()
         assert m.toarray().tolist() == full
         assert m.dtype == np.int64 and (m.data > 0).all()
+        arrays = cooccurrence_arrays(facts, n_ent)
+        assert all(np.array_equal(x, y) for x, y in zip(arrays, (m.indptr, m.indices, m.data)))
+        assert len(m.indptr) == n_ent + 1
         assert all((np.diff(m.indices[m.indptr[e] : m.indptr[e + 1]]) > 0).all() for e in range(n_ent))
+        vocab = Vocabulary(
+            entities={f"e{i}": i for i in range(n_ent)}, relations={f"r{i}": i for i in range(n_rel)}
+        )
+        assert compute_stats(vocab, {"train": facts}).avg_degree == avg_degree_oracle(facts, n_ent)
 
     def test_symmetry(self):
         rng = random.Random(8)

@@ -1,9 +1,14 @@
 import json
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kgsignals
 from kgsignals import corpus as corpus_mod
 from kgsignals.cli import main
 from kgsignals.corpus import TaskRecord, read_corpus
@@ -65,6 +70,53 @@ def test_end_to_end_generate_mix_verify(ingested, tmp_path):
                "--seed", "9", "--out", str(mixed)])
     assert rc == 0
     assert main(["verify", str(mixed)]) == 0
+
+
+def test_only_generate_imports_scipy(dataset, ingested, tmp_path):
+    out = tmp_path / "corpus"
+    assert main(["generate", "lcc", "--data", str(ingested), "--out", str(out), "--seed", "7",
+                 "--workers", "1"]) == 0
+    lcc = str(out / "lcc.jsonl")
+    steps = [
+        ["ingest", "--train", str(dataset), "--out", str(tmp_path / "data2")],
+        ["stats", "--train", str(dataset)],
+        ["verify", lcc],
+        ["mix", lcc, "--seed", "9", "--out", str(tmp_path / "remix.jsonl")],
+        ["generate", "lcc", "--data", str(ingested), "--out", str(tmp_path / "corpus2"), "--seed", "7",
+         "--workers", "1"],
+    ]
+    # each command in turn in one fresh interpreter, noting after each
+    # whether scipy has been imported so far
+    code = (
+        "import json, sys\n"
+        "from kgsignals.cli import main\n"
+        "print(json.dumps([[main(argv), 'scipy' in sys.modules] for argv in json.loads(sys.argv[1])]))\n"
+    )
+    src = str(Path(kgsignals.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(steps)], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [[0, False]] * 4 + [[0, True]]
+
+
+def test_workers_zero_counts_the_cpus_this_process_may_run_on(ingested, tmp_path, monkeypatch):
+    asked = []
+    real = corpus_mod.generate_task_records
+
+    def recording(*args, workers, **kwargs):
+        asked.append(workers)
+        return real(*args, workers=1, **kwargs)
+
+    monkeypatch.setattr("kgsignals.cli.generate_task_records", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    argv = ["generate", "lcc", "--data", str(ingested), "--seed", "7", "--workers", "0"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    # without an affinity call, the machine's count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    assert asked == [1, 8]
 
 
 def test_same_seed_byte_identical(ingested, tmp_path):
