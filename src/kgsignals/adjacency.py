@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, row_cells
 from .neighborhood import khop_entities
 
 
@@ -57,7 +57,15 @@ def relationless_adjacency(g: KnowledgeGraph, entities: list[int]) -> AdjacencyM
     for e in entities:
         g._check_entity(e)
     idx = np.asarray(entities, dtype=np.int64)
-    values = g.cooccurrence_counts()[idx][:, idx].toarray()
+    indptr, indices, data = g.cooccurrence_counts()
+    cells, counts = row_cells(indptr, idx)
+    # each cell's column as a position in ``entities``, -1 outside it
+    position = np.full(g.num_entities, -1)
+    position[idx] = np.arange(len(idx))
+    cols = position[indices[cells]]
+    keep = cols >= 0
+    values = np.zeros((len(idx), len(idx)), dtype=np.int64)
+    values[np.repeat(np.arange(len(idx)), counts)[keep], cols[keep]] = data[cells][keep]
     return AdjacencyMatrix(entities=tuple(entities), values=values)
 
 

@@ -5,9 +5,9 @@ A fact is a relation applied to an ordered list of two or more entities;
 arity-2 facts are ordinary knowledge-graph triples in the form r(h, t).
 
 Entity co-occurrence is counted by one builder,
-:func:`cooccurrence_arrays`, in numpy alone. scipy is imported only when
-:meth:`KnowledgeGraph.cooccurrence_counts` first wraps those arrays as a
-sparse matrix, so commands that never ask for it do not load scipy.
+:func:`cooccurrence_arrays`, in numpy alone, and every reader walks its
+CSR arrays directly; :func:`row_cells` gathers the stored cells of a set
+of rows.
 """
 
 from __future__ import annotations
@@ -15,12 +15,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class GraphError(Exception):
@@ -70,6 +66,16 @@ def cooccurrence_arrays(facts: Sequence[Fact], num_entities: int) -> tuple[np.nd
     return indptr, indices, data
 
 
+def row_cells(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``indices`` and ``data`` of the stored cells of ``rows``,
+    row after row in the order given, and each row's cell count."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    # each row's start less the cells of the rows before it in ``rows``
+    shift = starts - np.cumsum(counts) + counts
+    return np.arange(counts.sum()) + np.repeat(shift, counts), counts
+
+
 class KnowledgeGraph:
     """Read-only incidence index over ``facts``.
 
@@ -79,11 +85,11 @@ class KnowledgeGraph:
     :class:`UnknownIdError`, both naming the fact's index.
 
     Two caches are built from the facts on first use. The entity
-    co-occurrence matrix (:meth:`cooccurrence_counts`, the scipy CSR matrix
-    of :func:`cooccurrence_arrays`, and its rows as lists,
-    :meth:`cooccurrence_rows`) is the graph's only relation-blind
+    co-occurrence counts (:meth:`cooccurrence_counts`, the read-only CSR
+    arrays of :func:`cooccurrence_arrays`, and the same arrays as lists,
+    :meth:`cooccurrence_rows`) are the graph's only relation-blind
     co-occurrence structure: neighbours, path BFS, neighbourhood balls
-    and IVA matrices all read it, and building it imports scipy.
+    and IVA matrices all read them.
     :meth:`relation_neighbors` maps, for one relation at a time, each
     entity to the entities it shares a fact of that relation with; the
     ip path search steps by it. Lazily filled caches are idempotent, so
@@ -118,7 +124,7 @@ class KnowledgeGraph:
         self._fact_entity_sets = tuple(entity_sets)
         self._entities_of_relation = tuple(frozenset().union(*(entity_sets[i] for i in fs)) for fs in for_)
         self._relations_of_entity = tuple(frozenset(facts[i].relation for i in fs) for fs in foe)
-        self._cooccurrence: sp.csr_matrix | None = None
+        self._cooccurrence: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._cooccurrence_rows: tuple[list[int], list[int], list[int]] | None = None
         self._relation_neighbors: list[dict[int, frozenset[int]] | None] = [None] * num_relations
 
@@ -160,18 +166,17 @@ class KnowledgeGraph:
         """Entities co-occurring with ``e`` in any fact, excluding ``e``:
         row ``e`` of :meth:`cooccurrence_counts` without its diagonal."""
         self._check_entity(e)
-        m = self.cooccurrence_counts()
-        return frozenset(m.indices[m.indptr[e] : m.indptr[e + 1]].tolist()) - {e}
+        indptr, indices, _ = self.cooccurrence_counts()
+        return frozenset(indices[indptr[e] : indptr[e + 1]].tolist()) - {e}
 
-    def cooccurrence_counts(self) -> sp.csr_matrix:
-        """:func:`cooccurrence_arrays` of the facts as a scipy CSR matrix,
-        built once, on first use."""
+    def cooccurrence_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`cooccurrence_arrays` of the facts, ``(indptr, indices,
+        data)``, built once, on first use, and read-only."""
         if self._cooccurrence is None:
-            import scipy.sparse as sp
-
-            indptr, indices, data = cooccurrence_arrays(self.facts, self.num_entities)
-            n = self.num_entities
-            self._cooccurrence = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+            arrays = cooccurrence_arrays(self.facts, self.num_entities)
+            for a in arrays:
+                a.flags.writeable = False
+            self._cooccurrence = arrays
         return self._cooccurrence
 
     def cooccurrence_rows(self) -> tuple[list[int], list[int], list[int]]:
@@ -179,8 +184,8 @@ class KnowledgeGraph:
         as Python lists, for per-entity walks that numpy calls would slow
         down. Converted once, on first use."""
         if self._cooccurrence_rows is None:
-            m = self.cooccurrence_counts()
-            self._cooccurrence_rows = (m.indptr.tolist(), m.indices.tolist(), m.data.tolist())
+            indptr, indices, data = self.cooccurrence_counts()
+            self._cooccurrence_rows = (indptr.tolist(), indices.tolist(), data.tolist())
         return self._cooccurrence_rows
 
     def relation_neighbors(self, r: int) -> dict[int, frozenset[int]]:

@@ -67,13 +67,21 @@ class TestRelationlessAdjacency:
         full = dense_adjacency(facts, n_ent)
         a = relationless_adjacency(g, list(range(n_ent)))
         assert a.values.tolist() == full
-        m = g.cooccurrence_counts()
-        assert m.toarray().tolist() == full
-        assert m.dtype == np.int64 and (m.data > 0).all()
+        # the gather keeps the caller's order, shuffled or empty
+        dense = np.array(full, dtype=np.int64).reshape(n_ent, n_ent)
+        for ents in (random.Random(f"order:{seed}").sample(range(n_ent), n_ent), []):
+            a = relationless_adjacency(g, ents)
+            assert a.entities == tuple(ents)
+            assert np.array_equal(a.values, dense[np.ix_(ents, ents)])
+        indptr, indices, data = g.cooccurrence_counts()
+        cells = np.zeros((n_ent, n_ent), dtype=np.int64)
+        cells[np.repeat(np.arange(n_ent), np.diff(indptr)), indices] = data
+        assert np.array_equal(cells, dense)
+        assert data.dtype == np.int64 and (data > 0).all()
         arrays = cooccurrence_arrays(facts, n_ent)
-        assert all(np.array_equal(x, y) for x, y in zip(arrays, (m.indptr, m.indices, m.data)))
-        assert len(m.indptr) == n_ent + 1
-        assert all((np.diff(m.indices[m.indptr[e] : m.indptr[e + 1]]) > 0).all() for e in range(n_ent))
+        assert all(np.array_equal(x, y) for x, y in zip(arrays, (indptr, indices, data)))
+        assert len(indptr) == n_ent + 1
+        assert all((np.diff(indices[indptr[e] : indptr[e + 1]]) > 0).all() for e in range(n_ent))
         vocab = Vocabulary(
             entities={f"e{i}": i for i in range(n_ent)}, relations={f"r{i}": i for i in range(n_rel)}
         )

@@ -72,11 +72,14 @@ def test_end_to_end_generate_mix_verify(ingested, tmp_path):
     assert main(["verify", str(mixed)]) == 0
 
 
-def test_only_generate_imports_scipy(dataset, ingested, tmp_path):
+def test_no_command_imports_scipy(dataset, ingested, tmp_path):
     out = tmp_path / "corpus"
     assert main(["generate", "lcc", "--data", str(ingested), "--out", str(out), "--seed", "7",
                  "--workers", "1"]) == 0
     lcc = str(out / "lcc.jsonl")
+    # 40 triples give 80 sp items, enough for generate to fork its workers
+    forked = tmp_path / "forked.tsv"
+    forked.write_text("".join(f"e{i}\tr{i % 3}\te{(7 * i + 1) % 30}\n" for i in range(40)))
     steps = [
         ["ingest", "--train", str(dataset), "--out", str(tmp_path / "data2")],
         ["stats", "--train", str(dataset)],
@@ -84,20 +87,24 @@ def test_only_generate_imports_scipy(dataset, ingested, tmp_path):
         ["mix", lcc, "--seed", "9", "--out", str(tmp_path / "remix.jsonl")],
         ["generate", "lcc", "--data", str(ingested), "--out", str(tmp_path / "corpus2"), "--seed", "7",
          "--workers", "1"],
+        ["ingest", "--train", str(forked), "--out", str(tmp_path / "data3")],
+        ["generate", "all", "--data", str(tmp_path / "data3"), "--out", str(tmp_path / "corpus3"), "--seed", "7",
+         "--workers", "2"],
     ]
-    # each command in turn in one fresh interpreter, noting after each
-    # whether scipy has been imported so far
+    # each command in turn in one fresh interpreter where importing scipy
+    # raises, in the forked workers too
     code = (
         "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from kgsignals.cli import main\n"
-        "print(json.dumps([[main(argv), 'scipy' in sys.modules] for argv in json.loads(sys.argv[1])]))\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
     )
     src = str(Path(kgsignals.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", code, json.dumps(steps)], capture_output=True, text=True,
                          env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.splitlines()[-1]) == [[0, False]] * 4 + [[0, True]]
+    assert json.loads(run.stdout.splitlines()[-1]) == [0] * len(steps), run.stderr
 
 
 def test_workers_zero_counts_the_cpus_this_process_may_run_on(ingested, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from kgsignals.graph import Fact, build_index
@@ -182,10 +183,11 @@ class TestNeighborhoodIndex:
     def test_dense_graphs_match_oracles(self, seed):
         # every entity of one component in its 2- and 3-hop balls, and
         # diagonal cells: the degree and pair counts of each target are
-        # one mat-vec over rows that include self-co-occurrence
+        # counted over rows that include self-co-occurrence
         facts, n_ent = dense_graph(seed)
         g = build_index(facts, n_ent, 3)
-        assert g.cooccurrence_counts().diagonal().any()
+        indptr, indices, _ = g.cooccurrence_counts()
+        assert (np.repeat(np.arange(n_ent), np.diff(indptr)) == indices).any()  # a diagonal cell
         index = NeighborhoodIndex(g, 3)
         for e in range(n_ent):
             assert bfs_ball(facts, e, 2) == bfs_ball(facts, e, n_ent)  # saturated
@@ -203,6 +205,22 @@ class TestNeighborhoodIndex:
                     assert dict(zip(ents.tolist(), probs.tolist())) == want
                     dist = occurrence_distribution(g, e, k, weighted=weighted)
                     assert dict(zip(dist.entities, dist.probabilities)) == want
+
+    def test_radii_past_int8(self):
+        # a 260-entity chain holds distances past 127, so the hop levels
+        # need a dtype wider than int8
+        facts = [Fact(i % 3, (i, i + 1)) for i in range(259)]
+        g = build_index(facts, 260, 3)
+        index = NeighborhoodIndex(g, 200)
+        for e in (0, 131):
+            assert set(khop_entities(g, e, 200).entities) == bfs_ball(facts, e, 200)
+            for k in (1, 128, 200):
+                assert set(index.ball(e, k).tolist()) == bfs_ball(facts, e, k)
+                for weighted in (False, True):
+                    assert index.clustering(e, k, weighted=weighted) == lcc_oracle(facts, e, k, weighted=weighted)
+                    ents, probs = index.occurrence(e, k, weighted=weighted)
+                    want = occurrence_oracle(facts, 260, e, k, weighted=weighted)
+                    assert dict(zip(ents.tolist(), probs.tolist())) == want
 
     def test_radius_bounds(self):
         index = NeighborhoodIndex(chain3(), 2)
