@@ -301,7 +301,7 @@ def cmd_generate(args) -> int:
     workers = args.workers or _usable_cpus()
     tasks = list(TASKS) if args.task == "all" else [args.task]
     meta = _corpus_meta(cfg, vocab)
-    with _staged_writes() as stage, ExitStack() as opened, closing(WorkerPool()) as pool:
+    with _staged_writes() as stage, ExitStack() as opened, closing(WorkerPool(g, vocab, cfg)) as pool:
         written: dict[str, WrittenCorpus] = {}
         for task in tasks:
             t0 = time.monotonic()

@@ -179,25 +179,17 @@ def _clip(tokens: list[int], cfg: GenerationConfig) -> tuple[list[int], bool]:
     return tokens, False
 
 
-# -- per-task generators (chunk level, used by the worker pool) --------
+# -- per-task chunk functions (used by the worker pool) ---------------
 
 
-def _sp_paths(state: dict, fact_index: int, e_i: int, e_j: int) -> list[tuple[int, ...]]:
-    return shortest_relational_paths(state["g"], e_i, e_j, state["pcfg"], exclude_fact=fact_index)
-
-
-def _ip_paths(state: dict, fact_index: int, e_i: int, e_j: int) -> list[tuple[int, ...]]:
-    g = state["g"]
-    candidates = state["ip_candidates"][g.facts[fact_index].relation]
-    return ground_paths(g, e_i, e_j, candidates, exclude_fact=fact_index)
-
-
-def _gen_path_chunk(task: str, search, state: dict, items: list[tuple[int, int, int]]) -> list[TaskRecord]:
+def _gen_path_chunk(
+    g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig, task: str, search, items: list[tuple[int, int, int]]
+) -> list[TaskRecord]:
     """Records of (fact index, masked position, partner position) items.
     The input names the masked entity e_i, the fact's relation and the
-    partner e_j; there is one record per path that ``search`` finds
-    between them with the fact itself excluded, or one [NO_PATH] record."""
-    g, vocab, cfg = state["g"], state["vocab"], state["cfg"]
+    partner e_j; there is one record per path that ``search(fact index,
+    e_i, e_j)`` finds between them with the fact itself excluded, or one
+    [NO_PATH] record."""
     task_token = vocab.special_token(TASK_TOKENS[task])
     eos = vocab.special_token("[EOS]")
     no_path = vocab.special_token("[NO_PATH]")
@@ -205,7 +197,7 @@ def _gen_path_chunk(task: str, search, state: dict, items: list[tuple[int, int, 
     for fact_index, masked, partner in items:
         fact = g.facts[fact_index]
         e_i, e_j = fact.entities[masked], fact.entities[partner]
-        paths = search(state, fact_index, e_i, e_j)
+        paths = search(fact_index, e_i, e_j)
         head, clipped = _clip(
             [task_token, vocab.entity_token(e_i), vocab.relation_token(fact.relation), vocab.entity_token(e_j)],
             cfg,
@@ -234,28 +226,21 @@ def _khn_lcc_input(
     return _clip(tokens, cfg)
 
 
-def _khn_target(
-    vocab: Vocabulary, cfg: GenerationConfig, index: NeighborhoodIndex, e: int, h: int
-) -> tuple[str, object]:
-    ents, probs = index.occurrence(e, h, weighted=cfg.occurrence_weighted)
-    return "dist", list(zip((ents + vocab.num_specials).tolist(), probs.tolist()))
-
-
-def _lcc_target(
-    vocab: Vocabulary, cfg: GenerationConfig, index: NeighborhoodIndex, e: int, h: int
-) -> tuple[str, object]:
-    return "scalar", float(index.clustering(e, h, weighted=cfg.lcc_weighted))
-
-
-def _gen_ball_chunk(task: str, target, state: dict, centers: list[int]) -> list[TaskRecord]:
+def _gen_ball_chunk(
+    vocab: Vocabulary, cfg: GenerationConfig, task: str, index: NeighborhoodIndex, centers: list[int]
+) -> list[TaskRecord]:
     """One record per radius h = 1..hops of every center; its input lists
-    the ball of radius h - 1."""
-    vocab, cfg, index = state["vocab"], state["cfg"], state["index"]
+    the ball of radius h - 1. khn targets the occurrence distribution of
+    the h-ball, lcc its clustering coefficient."""
     records: list[TaskRecord] = []
     for e in centers:
         prev_ball = np.empty(0, dtype=np.intp)
         for h in range(1, cfg.hops + 1):
-            kind, value = target(vocab, cfg, index, e, h)
+            if task == "khn":
+                ents, probs = index.occurrence(e, h, weighted=cfg.occurrence_weighted)
+                kind, value = "dist", list(zip((ents + vocab.num_specials).tolist(), probs.tolist()))
+            else:
+                kind, value = "scalar", float(index.clustering(e, h, weighted=cfg.lcc_weighted))
             tokens, clipped = _khn_lcc_input(vocab, cfg, task, e, prev_ball)
             records.append(
                 TaskRecord(
@@ -281,8 +266,9 @@ def _flatten_tokens(vocab: Vocabulary, cfg: GenerationConfig, matrix) -> tuple[l
     return tokens, bool((upper > cfg.value_ceiling).any())
 
 
-def _gen_iva_chunk(state: dict, items: list[tuple[int, bool]]) -> list[TaskRecord]:
-    g, vocab, cfg = state["g"], state["vocab"], state["cfg"]
+def _gen_iva_chunk(
+    g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig, items: list[tuple[int, bool]]
+) -> list[TaskRecord]:
     records: list[TaskRecord] = []
     for center, negative in items:
         rng = random.Random(f"{cfg.seed}:iva:{center}")
@@ -312,104 +298,95 @@ def _gen_iva_chunk(state: dict, items: list[tuple[int, bool]]) -> list[TaskRecor
     return records
 
 
-_CHUNK_FNS = {
-    "sp": partial(_gen_path_chunk, "sp", _sp_paths),
-    "ip": partial(_gen_path_chunk, "ip", _ip_paths),
-    "khn": partial(_gen_ball_chunk, "khn", _khn_target),
-    "lcc": partial(_gen_ball_chunk, "lcc", _lcc_target),
-    "iva": _gen_iva_chunk,
-}
+def _chunk_fn(g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig, task: str):
+    """The chunk function of ``task``: it maps a list of work items to
+    their records, with the task's state built once and bound. That is
+    the neighbourhood index of khn and lcc, and for sp and ip the path
+    search, which for ip holds one candidate trie per relation, shared
+    by every fact of it."""
+    if task == "iva":
+        return partial(_gen_iva_chunk, g, vocab, cfg)
+    if task in ("khn", "lcc"):
+        return partial(_gen_ball_chunk, vocab, cfg, task, NeighborhoodIndex(g, cfg.hops))
+    pcfg = cfg.path_config()
+    if task == "sp":
+
+        def search(fact_index: int, e_i: int, e_j: int) -> list[tuple[int, ...]]:
+            return shortest_relational_paths(g, e_i, e_j, pcfg, exclude_fact=fact_index)
+
+    else:
+        ip_cache: dict = {}
+        tries = [CandidateTrie(information_gain_paths(g, r, pcfg, ip_cache)) for r in range(g.num_relations)]
+
+        def search(fact_index: int, e_i: int, e_j: int) -> list[tuple[int, ...]]:
+            return ground_paths(g, e_i, e_j, tries[g.facts[fact_index].relation], exclude_fact=fact_index)
+
+    return partial(_gen_path_chunk, g, vocab, cfg, task, search)
 
 
-def _task_state(g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig, task: str) -> dict:
-    """What the chunk functions of ``task`` read: the graph, vocabulary
-    and config, plus the path search config of sp and ip, ip's candidate
-    tries (one per relation, shared by every fact of it) and the
-    neighbourhood index of khn and lcc."""
-    state: dict = {"g": g, "vocab": vocab, "cfg": cfg}
-    if task in ("sp", "ip"):
-        pcfg = state["pcfg"] = cfg.path_config()
-        if task == "ip":
-            ip_cache: dict = {}
-            state["ip_candidates"] = {
-                r: CandidateTrie(information_gain_paths(g, r, pcfg, ip_cache))
-                for r in range(g.num_relations)
-            }
-    elif task in ("khn", "lcc"):
-        state["index"] = NeighborhoodIndex(g, cfg.hops)
-    return state
-
-
-def _run_chunk(task: str, state: dict, finish, items: list) -> list:
-    records = _CHUNK_FNS[task](state, items)
+def _run_chunk(fn, finish, items: list) -> list:
+    records = fn(items)
     return records if finish is None else finish(records)
 
 
 # set in a forked worker only: the (graph, vocabulary, config) it was
-# forked with, the last task it ran chunks of, and that task's state
+# forked with, the last task it ran chunks of, and that task's chunk
+# function
 _WORKER: dict = {}
 
 
 def _init_worker(g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig) -> None:
-    _WORKER.update(run=(g, vocab, cfg), task=None, state=None)
+    _WORKER.update(run=(g, vocab, cfg), task=None, fn=None)
 
 
 def _worker_run(args: tuple) -> list:
     task, finish, items = args
     if _WORKER["task"] != task:
-        _WORKER["state"] = None  # free the previous task's state first
-        _WORKER["state"] = _task_state(*_WORKER["run"], task)
+        _WORKER["fn"] = None  # free the previous task's state first
+        _WORKER["fn"] = _chunk_fn(*_WORKER["run"], task)
         _WORKER["task"] = task
-    return _run_chunk(task, _WORKER["state"], finish, items)
+    return _run_chunk(_WORKER["fn"], finish, items)
 
 
 class WorkerPool:
-    """Forked worker processes for :func:`generate_task_records`, shared
-    by the tasks of one run.
+    """One run's graph, vocabulary and config, and the forked worker
+    processes that :func:`generate_task_records` shares among its tasks.
 
-    The workers are forked when a task first needs them and inherit the
-    graph, vocabulary and config through the fork, so nothing of the
-    graph is pickled. A later task on the same three objects and worker
-    count reuses them; a task on others replaces them. A worker builds a
-    task's state on its first chunk of that task and keeps only the
-    current task's. :meth:`close` ends the workers."""
+    The workers are forked when a task first needs them, with that
+    task's worker count, and inherit the run through the fork, so
+    nothing of the graph is pickled. Later tasks reuse them whatever
+    count they ask for, since the count never changes the output. A
+    worker builds a task's chunk function on its first chunk of that
+    task and keeps only the current task's. :meth:`close` ends the
+    workers."""
 
-    def __init__(self) -> None:
+    def __init__(self, g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig) -> None:
+        self.run = (g, vocab, cfg)
         self._pool = None
-        self._forked_for: tuple = ()
 
-    def map(self, run: tuple, workers: int, task: str, finish, chunks: list[list]) -> list[list]:
-        """Each chunk's records, or what ``finish`` made of them, in chunk
-        order; ``run`` is (graph, vocabulary, config)."""
-        key = (*run, workers)
-        if self._pool is None or key != self._forked_for:
-            self.close()
-            # built once here instead of once in every worker
-            run[0].cooccurrence_rows()
-            self._pool = mp.get_context("fork").Pool(workers, initializer=_init_worker, initargs=run)
-            self._forked_for = key
-        return self._pool.map(_worker_run, [(task, finish, c) for c in chunks])
+    def records(self, task: str, finish, items: list, workers: int) -> list:
+        """Run ``items`` in chunks, four per worker, and join the chunks'
+        records, or what ``finish`` made of them, in item order. With one
+        worker, fewer than 64 items or no fork start method, the chunks
+        run one after another in this process, so that only one chunk's
+        records exist at a time when ``finish`` serializes them."""
+        chunk_size = max(1, math.ceil(len(items) / (max(workers, 1) * 4)))
+        chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
+        if workers > 1 and len(items) >= 64 and "fork" in mp.get_all_start_methods():
+            if self._pool is None:
+                # built once here instead of once in every worker
+                self.run[0].cooccurrence_rows()
+                self._pool = mp.get_context("fork").Pool(workers, initializer=_init_worker, initargs=self.run)
+            results = self._pool.map(_worker_run, [(task, finish, c) for c in chunks])
+        else:
+            fn = _chunk_fn(*self.run, task)
+            results = [_run_chunk(fn, finish, c) for c in chunks]
+        return [r for chunk in results for r in chunk]
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.terminate()  # also joins the workers
-            self._pool, self._forked_for = None, ()
-
-
-def _run_chunks(pool: WorkerPool, run: tuple, task: str, finish, items: list, workers: int) -> list:
-    """Run ``items`` in chunks, four per worker, and join the chunks'
-    records in item order. With one worker, too few items to share or no
-    fork start method, the chunks run one after another in this process,
-    so that only one chunk's records exist at a time when ``finish``
-    serializes them."""
-    chunk_size = max(1, math.ceil(len(items) / (max(workers, 1) * 4)))
-    chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-    if workers > 1 and len(items) >= 64 and "fork" in mp.get_all_start_methods():
-        results = pool.map(run, workers, task, finish, chunks)
-    else:
-        state = _task_state(*run, task)
-        results = [_run_chunk(task, state, finish, c) for c in chunks]
-    return [r for chunk in results for r in chunk]
+            self._pool = None
 
 
 def generate_task_records(
@@ -434,9 +411,12 @@ def generate_task_records(
     With ``workers`` > 1 and the fork start method, a task of at least
     64 items runs on the workers of ``pool``, which the tasks of one run
     share, or without it on a pool that lasts this call. Smaller tasks
-    run in this process."""
+    run in this process. ``pool`` must be made for ``g``, ``vocab`` and
+    ``cfg``."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
+    if pool is not None and pool.run != (g, vocab, cfg):
+        raise ValueError("the worker pool was made for another graph, vocabulary or config")
     if task in ("sp", "ip"):
         # every fact pairs each of its positions, masked, with every other
         items = [
@@ -452,8 +432,8 @@ def generate_task_records(
         centers = [e for e in range(g.num_entities) if g.neighbors(e)]
         items = [(e, i % 2 == 1) for i, e in enumerate(centers)] if task == "iva" else centers
         skipped = g.num_entities - len(centers)
-    with closing(WorkerPool()) if pool is None else nullcontext(pool) as pool:
-        return GenerationResult(_run_chunks(pool, (g, vocab, cfg), task, finish, items, workers), skipped)
+    with closing(WorkerPool(g, vocab, cfg)) if pool is None else nullcontext(pool) as pool:
+        return GenerationResult(pool.records(task, finish, items, workers), skipped)
 
 
 def mix_multitask(
@@ -588,9 +568,9 @@ def record_bounds(path: str | Path, header: dict) -> RecordBounds:
         n_ent = _header_int(sizes, "entities", 0)
         n_rel = _header_int(sizes, "relations", 0)
         cfg = header.get("config") or {}
-        max_len = _header_int(cfg, "max_len", 1024)
-        max_hops = _header_int(cfg, "max_hops", 4)
-        lcc_weighted = cfg.get("lcc_weighted", False)
+        max_len = _header_int(cfg, "max_len", GenerationConfig.max_len)
+        max_hops = _header_int(cfg, "max_hops", GenerationConfig.max_hops)
+        lcc_weighted = cfg.get("lcc_weighted", GenerationConfig.lcc_weighted)
         if not isinstance(lcc_weighted, bool):
             raise TypeError(f"lcc_weighted must be a bool, got {lcc_weighted!r}")
     except (AttributeError, TypeError) as exc:
@@ -609,12 +589,16 @@ def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
         return f"unknown task {r.task!r}"
     if not r.input_tokens:
         return "empty input"
-    if r.input_tokens[0] != SPECIAL_TOKENS.index(TASK_TOKENS[r.task]):
+    first = r.input_tokens[0]
+    if type(first) is not int or first != SPECIAL_TOKENS.index(TASK_TOKENS[r.task]):
         return "input does not start with its task token"
     if len(r.input_tokens) > b.max_len:
         return f"input length {len(r.input_tokens)} exceeds {b.max_len}"
     if r.target_kind == "tokens":
         t = r.target
+        for tok in t:
+            if type(tok) is not int:
+                return f"token {tok!r} is not an integer"
         if t != [_NO_PATH]:
             if not t or t[-1] != _EOS:
                 return "token target does not end with the end sentinel"
@@ -627,14 +611,14 @@ def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
                 if not b.rel_lo <= tok < b.rel_hi:
                     return f"token {tok} is not a relation token"
     elif r.target_kind == "dist":
+        for tok, p in r.target:
+            if not 0 <= p < math.inf:  # false for NaN
+                return f"probability {p} is not finite and >= 0"
+            if type(tok) is not int or not b.ent_lo <= tok < b.ent_hi:
+                return f"token {tok!r} is not an entity token"
         total = sum(p for _, p in r.target)
         if abs(total - 1.0) > 1e-9:
             return f"distribution sums to {total}"
-        for tok, p in r.target:
-            if p < 0:
-                return "negative probability"
-            if not b.ent_lo <= tok < b.ent_hi:
-                return f"token {tok} is not an entity token"
     elif r.target_kind == "scalar":
         value = float(r.target)
         if not (0.0 <= value <= b.scalar_hi and math.isfinite(value)):
@@ -653,15 +637,19 @@ def check_record(path: str | Path, label: object, bounds: RecordBounds, r: TaskR
 
     The input starts with its task token and fits ``max_len``. A token
     target is [NO_PATH] or at most ``max_hops`` distinct relation tokens
-    and [EOS]. A dist target is entity tokens with non-negative
-    probabilities summing to 1. A label is 0 or 1. A scalar lies in
-    [0, 1], or is finite and >= 0 when ``config.lcc_weighted``.
+    and [EOS]. A dist target is entity tokens with finite, non-negative
+    probabilities summing to 1. Every token id checked here, the task
+    token included, is an integer, so ``5.0`` and ``true`` are not. A
+    label is 0 or 1. A scalar lies in [0, 1], or is finite and >= 0 when
+    ``config.lcc_weighted``. A corpus of another format version never
+    gets here: :func:`read_corpus` refuses it as a format error.
     """
     try:
         problem = _record_problem(bounds, r)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         # a field of the wrong shape, such as a dist target that is not
-        # a list of pairs or a scalar that is not a number
+        # a list of pairs, a scalar that is not a number or one too
+        # large for a float
         problem = f"malformed record: {exc}"
     if problem is not None:
         raise CorpusInvariantError(f"{path}: record {label}: {problem}")
@@ -702,7 +690,8 @@ def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> N
 
 
 def read_corpus(path: str | Path) -> tuple[dict, list[TaskRecord]]:
-    """The header and records of a corpus file, read line by line."""
+    """The header and records of a corpus file, read line by line. A
+    header of another format or format version is a format error."""
     lines = read_lines(path)
     ln, first = next(lines, (0, ""))
     if ln != 1:
@@ -713,6 +702,9 @@ def read_corpus(path: str | Path) -> tuple[dict, list[TaskRecord]]:
         raise CorpusFormatError(f"{path}:1: bad header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise CorpusFormatError(f"{path}:1: not a {FORMAT_NAME} file")
+    version = header.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise CorpusFormatError(f"{path}:1: format version {version!r}, expected {FORMAT_VERSION}")
     records: list[TaskRecord] = []
     for ln, line in lines:
         try:

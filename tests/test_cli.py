@@ -12,7 +12,7 @@ import kgsignals
 from kgsignals import corpus as corpus_mod
 from kgsignals.cli import main
 from kgsignals.corpus import TaskRecord, read_corpus
-from kgsignals.ingest import Vocabulary
+from kgsignals.ingest import SPECIAL_TOKENS, Vocabulary
 
 TRIPLES = """\
 alice\tknows\tbob
@@ -309,11 +309,15 @@ def test_records_come_in_item_order_past_the_provenance_widths(wide, tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failed_generate_leaves_no_file(wide, tmp_path, capsys, monkeypatch, workers):
-    def bad_ip_chunk(state, items):
-        # an ip record whose input does not start with the [IP] token
-        return [TaskRecord("ip", [0], "tokens", [0], "f00000000:m00:p01:x0000")]
+    real_chunk_fn = corpus_mod._chunk_fn
 
-    monkeypatch.setitem(corpus_mod._CHUNK_FNS, "ip", bad_ip_chunk)
+    def chunk_fn(g, vocab, cfg, task):
+        if task != "ip":
+            return real_chunk_fn(g, vocab, cfg, task)
+        # an ip record whose input does not start with the [IP] token
+        return lambda items: [TaskRecord("ip", [0], "tokens", [0], "f00000000:m00:p01:x0000")]
+
+    monkeypatch.setattr(corpus_mod, "_chunk_fn", chunk_fn)
     out = tmp_path / "o"
     capsys.readouterr()
     # sp is written before ip fails
@@ -340,6 +344,9 @@ def test_corrupted_corpus_exit_3(ingested, tmp_path):
     assert main(["verify", str(path)]) == 3
 
 
+_EOS = SPECIAL_TOKENS.index("[EOS]")
+
+
 def _target(kind, value):
     return lambda r: {**r, "target": {"kind": kind, "value": value}}
 
@@ -362,6 +369,16 @@ MALFORMED = [
     pytest.param("khn", 0, _header("config", "max_len", "x"), 3, 3, id="header_max_len_not_int"),
     pytest.param("khn", 0, _header("vocab_sizes", "entities", "4"), 3, 3, id="header_vocab_size_not_int"),
     pytest.param("lcc", 0, _header("config", "lcc_weighted", "yes"), 3, 3, id="header_lcc_weighted_not_bool"),
+    # input[1] is the centre's entity token
+    pytest.param("khn", 1, lambda r: _target("dist", [[r["input"][1], float("nan")]])(r), 3, 3,
+                 id="dist_probability_nan"),
+    # the input's relation token plus 0.5 lies inside the relation range
+    pytest.param("sp", 1, lambda r: _target("tokens", [r["input"][2] + 0.5, _EOS])(r), 3, 3,
+                 id="path_token_not_int"),
+    pytest.param("sp", 1, lambda r: {**r, "input": [float(r["input"][0])] + r["input"][1:]}, 3, 3,
+                 id="task_token_not_int"),
+    pytest.param("khn", 0, lambda h: {**h, "version": 2}, 2, 2, id="header_other_version"),
+    pytest.param("lcc", 1, _target("scalar", 10**400), 3, 3, id="scalar_target_too_large_for_float"),
 ]
 
 
@@ -387,7 +404,7 @@ def test_malformed_record_exits_with_one_line(
             continue
         assert len(err) == 1, (argv, err)
         if rc == 2:
-            assert f"{path}:2:" in err[0]
+            assert f"{path}:{line + 1}:" in err[0]
         elif line == 0:
             assert f"{path}: malformed header: " in err[0]
         else:

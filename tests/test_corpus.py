@@ -2,12 +2,14 @@ import json
 import multiprocessing
 import random
 from collections import Counter
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kgsignals import corpus as corpus_mod
 from kgsignals.adjacency import AdjacencyMatrix, flatten_adjacency
 from kgsignals.corpus import (
     EmptyCorpusError,
@@ -15,6 +17,7 @@ from kgsignals.corpus import (
     CorpusInvariantError,
     GenerationConfig,
     TaskRecord,
+    WorkerPool,
     WrittenCorpus,
     _flatten_tokens,
     _khn_lcc_input,
@@ -351,6 +354,9 @@ class TestStreamedWriter:
     def test_breaking_record_is_named_by_provenance(self):
         _, lists = self.records()
         meta = {"vocab_sizes": {"specials": len(SPECIAL_TOKENS), "entities": 6, "relations": 3}}
+        # a header without max_len, max_hops or lcc_weighted bounds its
+        # records as the default config does
+        assert record_bounds("x", meta) == record_bounds("x", {**meta, "config": GenerationConfig(seed=0).as_dict()})
         # relation token 3 is out of range with three relations
         with pytest.raises(CorpusInvariantError,
                            match=r"^x: record f00000001:m00:p01:x0000: token \d+ is not a relation token$"):
@@ -422,8 +428,8 @@ class TestSerialization:
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("task", ["sp", "ip", "khn", "lcc", "iva"])
-    def test_worker_count_does_not_change_output(self, task, pools_made):
+    @staticmethod
+    def run():
         # a ring makes every one of the 80 entities a centre, over the 64
         # items a task needs to reach the pool; the rest is random facts
         # of arity 2 to 4, and entities 80 and 81 are in no fact
@@ -432,9 +438,11 @@ class TestWorkers:
         facts = [Fact(rng.randrange(n_rel), (e, (e + 1) % 80)) for e in range(80)]
         facts += [Fact(rng.randrange(n_rel), tuple(rng.randrange(80) for _ in range(rng.randint(2, 4))))
                   for _ in range(30)]
-        g = build_index(facts, n_ent, n_rel)
-        v = make_vocab(n_ent, n_rel)
-        cfg = GenerationConfig(seed=4, hops=2)
+        return build_index(facts, n_ent, n_rel), make_vocab(n_ent, n_rel), GenerationConfig(seed=4, hops=2)
+
+    @pytest.mark.parametrize("task", ["sp", "ip", "khn", "lcc", "iva"])
+    def test_worker_count_does_not_change_output(self, task, pools_made):
+        g, v, cfg = self.run()
         base = generate_task_records(g, v, task, cfg, workers=1)
         assert pools_made == []
         multi = generate_task_records(g, v, task, cfg, workers=3)
@@ -442,6 +450,50 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
         assert [r.to_json() for r in base.records] == [r.to_json() for r in multi.records]
         assert base.skipped == multi.skipped == (2 if task in ("khn", "lcc", "iva") else 0)
+
+    def test_pool_of_another_run_is_refused(self, pools_made):
+        g, v, cfg = self.run()
+        other = build_index(list(g.facts), g.num_entities, g.num_relations)
+        with closing(WorkerPool(other, v, cfg)) as pool:
+            with pytest.raises(ValueError, match="another graph"):
+                generate_task_records(g, v, "sp", cfg, workers=3, pool=pool)
+        assert pools_made == []
+
+    def test_one_pool_serves_tasks_at_any_worker_count(self, pools_made):
+        g, v, cfg = self.run()
+        asked = (("sp", 3), ("khn", 2))
+        base = {task: generate_task_records(g, v, task, cfg, workers=1).records for task, _ in asked}
+        with closing(WorkerPool(g, v, cfg)) as pool:
+            multi = {
+                task: generate_task_records(g, v, task, cfg, workers=workers, pool=pool).records
+                for task, workers in asked
+            }
+        assert len(pools_made) == 1
+        assert multiprocessing.active_children() == []
+        for task, _ in asked:
+            assert [r.to_json() for r in multi[task]] == [r.to_json() for r in base[task]]
+
+    def test_task_state_is_built_once_per_task(self, monkeypatch):
+        # at one worker each task runs in four chunks
+        g, v, cfg = self.run()
+        calls = []
+
+        def count(name):
+            real = getattr(corpus_mod, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(corpus_mod, name, counted)
+
+        count("NeighborhoodIndex")
+        count("information_gain_paths")
+        generate_task_records(g, v, "khn", cfg, workers=1)
+        assert calls == ["NeighborhoodIndex"]
+        calls.clear()
+        generate_task_records(g, v, "ip", cfg, workers=1)
+        assert calls == ["information_gain_paths"] * g.num_relations
 
 
 @pytest.mark.parametrize("workers", [1, 3])
