@@ -2,7 +2,7 @@
 graphs and knowledge hypergraphs."""
 
 from .graph import Fact, KnowledgeGraph, build_index
-from .ingest import VocabBuilder, Vocabulary, parse_hypergraph, parse_triples
+from .ingest import Vocabulary, parse_hypergraph, parse_triples
 from .paths import (
     CandidateTrie,
     PathSearchConfig,
@@ -13,12 +13,7 @@ from .paths import (
     relation_entropy,
     shortest_relational_paths,
 )
-from .neighborhood import (
-    NeighborhoodIndex,
-    khop_entities,
-    local_clustering_coefficient,
-    occurrence_distribution,
-)
+from .neighborhood import NeighborhoodIndex, khop_entities
 from .adjacency import (
     AdjacencyMatrix,
     IvaExample,

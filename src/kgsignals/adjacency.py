@@ -143,10 +143,10 @@ def make_iva_example(
     values. Negatives on matrices up to ``verify_limit``
     entities are checked against every permutation of the original.
     """
-    nb = khop_entities(g, center, k)
-    if not nb.entities:
+    ball = khop_entities(g, center, k).tolist()
+    if not ball:
         raise SkipExample(f"entity {center} has an empty {k}-hop neighborhood")
-    members = sorted(set(nb.entities) | {center})
+    members = sorted(ball + [center])
     if len(members) > size_cap:
         sampled = rng.sample([e for e in members if e != center], size_cap - 1)
         members = sorted(sampled + [center])

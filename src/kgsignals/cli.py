@@ -64,7 +64,6 @@ from .graph import Fact, GraphError, build_index
 from .ingest import (
     ParseError,
     SPECIAL_TOKENS,
-    VocabBuilder,
     Vocabulary,
     compute_stats,
     parse_hypergraph,
@@ -136,14 +135,14 @@ def _build_parser() -> _Parser:
 
 
 def _parse_splits(args) -> tuple[Vocabulary, dict[str, list[Fact]]]:
-    builder = VocabBuilder()
+    vocab = Vocabulary()
     parse = parse_triples if args.kind == "triples" else parse_hypergraph
     splits: dict[str, list[Fact]] = {}
     for name in ("train", "valid", "test"):
         path = getattr(args, name)
         if path:
-            splits[name] = parse(path, builder)
-    return builder.freeze(), splits
+            splits[name] = parse(path, vocab)
+    return vocab, splits
 
 
 def _outdir(args) -> Path:

@@ -55,7 +55,10 @@ from .paths import (
 
 FORMAT_NAME = "kgsignals-corpus"
 FORMAT_VERSION = 1
-TASKS = ("sp", "ip", "khn", "iva", "lcc")
+# each task, in generation order, and the target kind of its records
+_TARGET_KINDS = {"sp": "tokens", "ip": "tokens", "khn": "dist", "iva": "label", "lcc": "scalar"}
+TASKS = tuple(_TARGET_KINDS)
+_FLAGS = frozenset({"clipped", "clamped"})
 
 
 class EmptyCorpusError(Exception):
@@ -127,7 +130,7 @@ class TaskRecord:
     target: object
     provenance: str
     weight: float | None = None
-    flags: tuple[str, ...] = ()
+    flags: Sequence[str] = ()  # distinct names from "clipped" and "clamped"
 
     def to_json(self) -> str:
         return _RECORD_ENCODER.encode(
@@ -156,7 +159,7 @@ class TaskRecord:
             target=target,
             provenance=d["prov"],
             weight=d["weight"],
-            flags=tuple(d["flags"]),
+            flags=d["flags"],
         )
 
 
@@ -547,7 +550,7 @@ def _header_int(section: dict, key: str, default: int) -> int:
 @dataclass(frozen=True)
 class RecordBounds:
     """What a corpus header allows its records: token ranges, the input
-    and path lengths and the scalar range."""
+    and path lengths, the value-token ceiling and the scalar range."""
 
     ent_lo: int
     ent_hi: int
@@ -555,6 +558,7 @@ class RecordBounds:
     rel_hi: int
     max_len: int
     max_hops: int
+    value_ceiling: int
     scalar_hi: float
     scalar_range: str
 
@@ -570,6 +574,7 @@ def record_bounds(path: str | Path, header: dict) -> RecordBounds:
         cfg = header.get("config") or {}
         max_len = _header_int(cfg, "max_len", GenerationConfig.max_len)
         max_hops = _header_int(cfg, "max_hops", GenerationConfig.max_hops)
+        value_ceiling = _header_int(cfg, "value_ceiling", GenerationConfig.value_ceiling)
         lcc_weighted = cfg.get("lcc_weighted", GenerationConfig.lcc_weighted)
         if not isinstance(lcc_weighted, bool):
             raise TypeError(f"lcc_weighted must be a bool, got {lcc_weighted!r}")
@@ -577,7 +582,9 @@ def record_bounds(path: str | Path, header: dict) -> RecordBounds:
         raise CorpusInvariantError(f"{path}: malformed header: {exc}") from exc
     ent_hi = n_special + n_ent
     scalar_hi, scalar_range = (math.inf, "[0, inf)") if lcc_weighted else (1.0, "[0, 1]")
-    return RecordBounds(n_special, ent_hi, ent_hi, ent_hi + n_rel, max_len, max_hops, scalar_hi, scalar_range)
+    return RecordBounds(
+        n_special, ent_hi, ent_hi, ent_hi + n_rel, max_len, max_hops, value_ceiling, scalar_hi, scalar_range
+    )
 
 
 _NO_PATH = SPECIAL_TOKENS.index("[NO_PATH]")
@@ -587,13 +594,27 @@ _EOS = SPECIAL_TOKENS.index("[EOS]")
 def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
     if r.task not in TASKS:
         return f"unknown task {r.task!r}"
-    if not r.input_tokens:
+    if r.target_kind != _TARGET_KINDS[r.task]:
+        return f"{r.task} target kind {r.target_kind!r} is not {_TARGET_KINDS[r.task]!r}"
+    if type(r.provenance) is not str:
+        return f"provenance {r.provenance!r} is not a string"
+    flags = r.flags
+    if type(flags) not in (list, tuple) or not _FLAGS.issuperset(flags) or len(set(flags)) < len(flags):
+        return f"flags {flags!r} are not distinct names from {sorted(_FLAGS)}"
+    tokens = r.input_tokens
+    if not tokens:
         return "empty input"
-    first = r.input_tokens[0]
+    first = tokens[0]
     if type(first) is not int or first != SPECIAL_TOKENS.index(TASK_TOKENS[r.task]):
         return "input does not start with its task token"
-    if len(r.input_tokens) > b.max_len:
-        return f"input length {len(r.input_tokens)} exceeds {b.max_len}"
+    if len(tokens) > b.max_len:
+        return f"input length {len(tokens)} exceeds {b.max_len}"
+    # builtins that run in C: one type pass, then min and max
+    if set(map(type, tokens)) != {int}:
+        return f"input token {next(t for t in tokens if type(t) is not int)!r} is not an integer"
+    lo, hi, top = min(tokens), max(tokens), b.rel_hi + b.value_ceiling  # top: the largest value token
+    if lo < 0 or hi > top:
+        return f"input token {lo if lo < 0 else hi} outside [0, {top}]"
     if r.target_kind == "tokens":
         t = r.target
         for tok in t:
@@ -620,14 +641,13 @@ def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
         if abs(total - 1.0) > 1e-9:
             return f"distribution sums to {total}"
     elif r.target_kind == "scalar":
+        if type(r.target) not in (int, float):
+            return f"scalar target {r.target!r} is not a number"
         value = float(r.target)
         if not (0.0 <= value <= b.scalar_hi and math.isfinite(value)):
             return f"scalar target {r.target} outside {b.scalar_range}"
-    elif r.target_kind == "label":
-        if r.target not in (0, 1):
-            return f"label target {r.target} not binary"
-    else:
-        return f"unknown target kind {r.target_kind!r}"
+    elif type(r.target) is not int or r.target not in (0, 1):  # the one kind left, "label"
+        return f"label target {r.target!r} is not the integer 0 or 1"
     return None
 
 
@@ -635,14 +655,20 @@ def check_record(path: str | Path, label: object, bounds: RecordBounds, r: TaskR
     """Raise :class:`CorpusInvariantError`, naming ``path: record
     <label>``, unless ``r`` keeps the per-record part of the contract.
 
-    The input starts with its task token and fits ``max_len``. A token
-    target is [NO_PATH] or at most ``max_hops`` distinct relation tokens
-    and [EOS]. A dist target is entity tokens with finite, non-negative
-    probabilities summing to 1. Every token id checked here, the task
-    token included, is an integer, so ``5.0`` and ``true`` are not. A
-    label is 0 or 1. A scalar lies in [0, 1], or is finite and >= 0 when
-    ``config.lcc_weighted``. A corpus of another format version never
-    gets here: :func:`read_corpus` refuses it as a format error.
+    The target kind is the task's: ``tokens`` for sp and ip, ``dist``
+    for khn, ``label`` for iva and ``scalar`` for lcc. The provenance is
+    a string, and the flags are a list of distinct names from
+    ``clipped`` and ``clamped``. The input starts with its task token,
+    fits ``max_len``, and every input token lies in [0, relation top +
+    ``value_ceiling``], the largest value token. A token target is
+    [NO_PATH] or at most ``max_hops`` distinct relation tokens and [EOS].
+    A dist target is entity tokens with finite, non-negative
+    probabilities summing to 1. Every token id checked here is an
+    integer, so ``5.0`` and ``true`` are not. A label is the integer 0
+    or 1. A scalar is an int or float, not a bool, and lies in [0, 1],
+    or is finite and >= 0 when ``config.lcc_weighted``. A corpus of
+    another format version never gets here: :func:`read_corpus` refuses
+    it as a format error.
     """
     try:
         problem = _record_problem(bounds, r)
@@ -674,8 +700,9 @@ def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> N
     """Raise :class:`CorpusInvariantError`, naming ``path``, unless the
     header and records keep the record contract: every record passes
     :func:`check_record` under the header's bounds, the totals pass
-    :func:`check_totals`, and with ``alpha`` each record's weight is its
-    task's."""
+    :func:`check_totals`, and each record's weight is its task's
+    ``alpha``, or 1.0 when the header has none. A bool is never a
+    weight."""
     bounds = record_bounds(path, header)
     counts: dict[str, int] = {}
     for i, r in enumerate(records):
@@ -683,10 +710,12 @@ def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> N
         counts[r.task] = counts.get(r.task, 0) + 1
     check_totals(path, header, counts)
     alpha = header.get("alpha")
-    if alpha is not None:
-        for i, r in enumerate(records):
-            if r.weight != alpha.get(r.task):
-                raise CorpusInvariantError(f"{path}: record {i}: weight {r.weight} != alpha[{r.task}]")
+    for i, r in enumerate(records):
+        want = 1.0 if alpha is None else alpha.get(r.task)
+        if r.weight != want or type(r.weight) is bool:
+            raise CorpusInvariantError(
+                f"{path}: record {i}: weight {r.weight!r} != " + ("1.0" if alpha is None else f"alpha[{r.task}]")
+            )
 
 
 def read_corpus(path: str | Path) -> tuple[dict, list[TaskRecord]]:

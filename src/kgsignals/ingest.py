@@ -89,6 +89,14 @@ class Vocabulary:
     def num_specials(self) -> int:
         return len(SPECIAL_TOKENS)
 
+    def entity_id(self, s: str) -> int:
+        """The id of entity ``s``; a name not seen before gets the next id."""
+        return self.entities.setdefault(s, len(self.entities))
+
+    def relation_id(self, s: str) -> int:
+        """The id of relation ``s``; a name not seen before gets the next id."""
+        return self.relations.setdefault(s, len(self.relations))
+
     def special_token(self, name: str) -> int:
         return SPECIAL_TOKENS.index(name)
 
@@ -184,31 +192,6 @@ class Vocabulary:
 
 
 @dataclass
-class VocabBuilder:
-    """Assigns dense ids in first-seen order; freeze() yields a Vocabulary."""
-
-    entities: dict[str, int] = field(default_factory=dict)
-    relations: dict[str, int] = field(default_factory=dict)
-
-    def entity_id(self, s: str) -> int:
-        eid = self.entities.get(s)
-        if eid is None:
-            eid = len(self.entities)
-            self.entities[s] = eid
-        return eid
-
-    def relation_id(self, s: str) -> int:
-        rid = self.relations.get(s)
-        if rid is None:
-            rid = len(self.relations)
-            self.relations[s] = rid
-        return rid
-
-    def freeze(self) -> Vocabulary:
-        return Vocabulary(entities=dict(self.entities), relations=dict(self.relations))
-
-
-@dataclass
 class DatasetStats:
     num_entities: int
     num_relations: int
@@ -228,11 +211,11 @@ class DatasetStats:
         }
 
 
-def parse_triples(path: str | Path, builder: VocabBuilder) -> list[Fact]:
+def parse_triples(path: str | Path, vocab: Vocabulary) -> list[Fact]:
     """Parse a tab-separated triple file into arity-2 facts r(h, t).
 
-    Ids are assigned in first-seen order; duplicate lines are kept as
-    distinct facts.
+    Names not yet in ``vocab`` are added to it in first-seen order;
+    duplicate lines are kept as distinct facts.
     """
     facts: list[Fact] = []
     for ln, line in read_lines(path):
@@ -242,14 +225,14 @@ def parse_triples(path: str | Path, builder: VocabBuilder) -> list[Fact]:
         h, r, t = parts
         facts.append(
             Fact(
-                relation=builder.relation_id(r),
-                entities=(builder.entity_id(h), builder.entity_id(t)),
+                relation=vocab.relation_id(r),
+                entities=(vocab.entity_id(h), vocab.entity_id(t)),
             )
         )
     return facts
 
 
-def parse_hypergraph(path: str | Path, builder: VocabBuilder) -> list[Fact]:
+def parse_hypergraph(path: str | Path, vocab: Vocabulary) -> list[Fact]:
     """Parse ``relation<TAB>e1<TAB>e2[<TAB>...]`` lines into arity-n facts."""
     facts: list[Fact] = []
     for ln, line in read_lines(path):
@@ -258,8 +241,8 @@ def parse_hypergraph(path: str | Path, builder: VocabBuilder) -> list[Fact]:
             raise ParseError(f"{path}:{ln}: arity {len(parts) - 1} < 2")
         facts.append(
             Fact(
-                relation=builder.relation_id(parts[0]),
-                entities=tuple(builder.entity_id(e) for e in parts[1:]),
+                relation=vocab.relation_id(parts[0]),
+                entities=tuple(vocab.entity_id(e) for e in parts[1:]),
             )
         )
     return facts

@@ -24,13 +24,10 @@ has all its neighbours within radius k, so its degree is its row sum;
 a member at distance k loses its outward cells, those whose column is
 farther out, which one pass over all cells sums for every entity.
 :class:`NeighborhoodIndex` keeps the walk of the last center asked, for
-bulk generation that queries every radius of one center in turn; the
-module-level functions are thin wrappers over the same code.
+bulk generation that queries every radius of one center in turn.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +36,6 @@ from .graph import KnowledgeGraph, row_cells
 
 class EmptyNeighborhoodError(Exception):
     """No entities within the requested hop radius; record is skipped upstream."""
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    center: int
-    hops: int
-    entities: tuple[int, ...]  # ascending, center excluded
-
-
-@dataclass(frozen=True)
-class OccurrenceDistribution:
-    entities: tuple[int, ...]
-    probabilities: tuple[float, ...]
 
 
 def _distances(indptr: np.ndarray, indices: np.ndarray, row_lens: np.ndarray, e: int, hops: int) -> np.ndarray:
@@ -90,39 +74,14 @@ def _ball(dist: np.ndarray, e: int, k: int) -> np.ndarray:
     return ball[ball != e]
 
 
-def khop_entities(g: KnowledgeGraph, e: int, k: int) -> Neighborhood:
-    """All entities at hop distance 1..k from ``e``, ascending."""
+def khop_entities(g: KnowledgeGraph, e: int, k: int) -> np.ndarray:
+    """All entities at hop distance 1..k from ``e``, ascending: the ids
+    that :meth:`NeighborhoodIndex.ball` returns, from the same walk."""
     if k < 1:
         raise ValueError("k must be >= 1")
     g._check_entity(e)
     indptr, indices, _ = g.cooccurrence_counts()
-    ball = _ball(_distances(indptr, indices, np.diff(indptr), e, k), e, k)
-    return Neighborhood(center=e, hops=k, entities=tuple(ball.tolist()))
-
-
-def occurrence_distribution(
-    g: KnowledgeGraph, e: int, k: int, weighted: bool = True
-) -> OccurrenceDistribution:
-    """Degree-normalized probability of each entity in the k-hop ball.
-
-    Degrees are taken within the neighborhood subgraph (members plus the
-    center); probabilities sum to 1.
-    """
-    ents, probs = NeighborhoodIndex(g, k).occurrence(e, k, weighted)
-    return OccurrenceDistribution(entities=tuple(ents.tolist()), probabilities=tuple(probs.tolist()))
-
-
-def local_clustering_coefficient(
-    g: KnowledgeGraph, e: int, k: int, weighted: bool = False
-) -> float:
-    """Fraction of connected pairs inside the k-hop ball of ``e``.
-
-    Simple mode (default) divides by C(|ball|, 2), so the value stays in
-    [0, 1]. Weighted mode divides by C(d, 2) with d the weighted
-    adjacency row sum from the center into the ball, and may exceed 1
-    with parallel edges.
-    """
-    return NeighborhoodIndex(g, k).clustering(e, k, weighted)
+    return _ball(_distances(indptr, indices, np.diff(indptr), e, k), e, k)
 
 
 class NeighborhoodIndex:
@@ -135,8 +94,6 @@ class NeighborhoodIndex:
     1..max_hops. The walk, the balls and, once asked, the outward sums
     and the off-diagonal cells' levels are kept until a different center
     is asked about.
-    :func:`occurrence_distribution` and
-    :func:`local_clustering_coefficient` answer through a fresh index.
     """
 
     def __init__(self, g: KnowledgeGraph, max_hops: int):
@@ -181,8 +138,10 @@ class NeighborhoodIndex:
         return self._balls[k - 1]
 
     def occurrence(self, e: int, k: int, weighted: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Ball of radius k and each member's degree within ball + center,
-        normalized to sum to 1."""
+        """Ball of radius k and each member's probability: its degree
+        counted within the ball plus the center, over the sum of those
+        degrees, so the probabilities sum to 1. Raises
+        :class:`EmptyNeighborhoodError` when the ball is empty."""
         ents = self.ball(e, k)
         if ents.size == 0:
             raise EmptyNeighborhoodError(f"entity {e} has no {k}-hop neighborhood")
@@ -198,8 +157,13 @@ class NeighborhoodIndex:
         return ents, degrees / int(degrees.sum())
 
     def clustering(self, e: int, k: int, weighted: bool = False) -> float:
-        """Connected ball pairs over C(d, 2); d is the ball size, or in
-        weighted mode the center's co-occurrence count into the ball."""
+        """Fraction of connected pairs inside the ball of radius k:
+        connected pairs over C(d, 2), and 0 when d < 2.
+
+        Simple mode (default) takes d as the ball size, so the value
+        stays in [0, 1]. Weighted mode takes d as the center's weighted
+        co-occurrence count into the ball, which parallel edges raise,
+        and may exceed 1."""
         ents = self.ball(e, k)
         if weighted:
             lo, hi = self._indptr[e], self._indptr[e + 1]

@@ -26,13 +26,8 @@ from kgsignals.adjacency import (
 from kgsignals.cli import main
 from kgsignals.corpus import read_corpus
 from kgsignals.graph import Fact, build_index
-from kgsignals.ingest import SPECIAL_TOKENS, VocabBuilder, compute_stats, parse_hypergraph, parse_triples
-from kgsignals.neighborhood import (
-    EmptyNeighborhoodError,
-    khop_entities,
-    local_clustering_coefficient,
-    occurrence_distribution,
-)
+from kgsignals.ingest import SPECIAL_TOKENS, Vocabulary, compute_stats, parse_hypergraph, parse_triples
+from kgsignals.neighborhood import EmptyNeighborhoodError, NeighborhoodIndex, khop_entities
 from kgsignals.paths import (
     PathSearchConfig,
     conditional_entropy,
@@ -145,17 +140,18 @@ def test_neighborhoods_match_oracles_on_200_graphs():
             rng, max_entities=100, max_relations=8, max_facts=120, max_arity=3
         )
         g = build_index(facts, n_ent, n_rel)
+        index = NeighborhoodIndex(g, 3)
         centers = rng.sample(range(n_ent), min(10, n_ent))
         for e in centers:
             for k in (1, 2, 3):
-                assert set(khop_entities(g, e, k).entities) == bfs_ball(facts, e, k)
-                got = local_clustering_coefficient(g, e, k)
+                assert set(khop_entities(g, e, k).tolist()) == bfs_ball(facts, e, k)
+                got = index.clustering(e, k)
                 assert abs(got - lcc_oracle(facts, e, k)) < 1e-12
                 try:
-                    dist = occurrence_distribution(g, e, k)
+                    _, probs = index.occurrence(e, k)
                 except EmptyNeighborhoodError:
                     continue
-                assert abs(sum(dist.probabilities) - 1.0) < 1e-9
+                assert abs(probs.sum() - 1.0) < 1e-9
 
 
 def test_iva_examples_sound_on_1000_small_matrices():
@@ -288,14 +284,14 @@ def test_benchmark_dataset_statistics(name):
         pytest.skip(f"{base} not present")
     expected = EXPECTED_DATASET_STATS[name]
     parse = parse_triples if expected["kind"] == "triples" else parse_hypergraph
-    builder = VocabBuilder()
+    vocab = Vocabulary()
     splits = {}
     for split in ("train", "valid", "test"):
         path = base / f"{split}.txt"
         if not path.exists():
             path = base / f"{split}.tsv"
-        splits[split] = parse(path, builder)
-    stats = compute_stats(builder.freeze(), splits)
+        splits[split] = parse(path, vocab)
+    stats = compute_stats(vocab, splits)
     assert stats.num_entities == expected["entities"]
     assert stats.num_relations == expected["relations"]
     assert stats.split_counts == expected["splits"]

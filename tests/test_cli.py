@@ -72,6 +72,12 @@ def test_end_to_end_generate_mix_verify(ingested, tmp_path):
     assert main(["verify", str(mixed)]) == 0
 
 
+def _subprocess_env(**extra):
+    src = str(Path(kgsignals.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_no_command_imports_scipy(dataset, ingested, tmp_path):
     out = tmp_path / "corpus"
     assert main(["generate", "lcc", "--data", str(ingested), "--out", str(out), "--seed", "7",
@@ -99,12 +105,44 @@ def test_no_command_imports_scipy(dataset, ingested, tmp_path):
         "from kgsignals.cli import main\n"
         "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
     )
-    src = str(Path(kgsignals.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", code, json.dumps(steps)], capture_output=True, text=True,
-                         env=env, timeout=120)
+                         env=_subprocess_env(), timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1]) == [0] * len(steps), run.stderr
+
+
+def test_output_does_not_depend_on_the_string_hash_seed(tmp_path):
+    # string names hash differently under each PYTHONHASHSEED; ingest and
+    # a forked generate must not let that order reach any output byte
+    rng = random.Random(3)
+    train = tmp_path / "train.tsv"
+    train.write_text("".join(
+        "\t".join([f"rel-{rng.randrange(7)}"] + [f"ent {rng.randrange(60)}" for _ in range(rng.randint(2, 4))])
+        + "\n"
+        for _ in range(120)
+    ))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        data, out = tmp_path / f"data{hash_seed}", tmp_path / f"out{hash_seed}"
+        env = _subprocess_env(PYTHONHASHSEED=hash_seed)
+        for argv in (["ingest", "--train", str(train), "--kind", "hypergraph", "--out", str(data)],
+                     ["generate", "all", "--data", str(data), "--out", str(out), "--seed", "5", "--workers", "2"]):
+            run = subprocess.run([sys.executable, "-m", "kgsignals.cli", *argv], capture_output=True, text=True,
+                                 env=env, timeout=300)
+            assert run.returncode == 0, run.stderr
+        outputs.append({p.relative_to(tmp_path / d).as_posix(): p.read_bytes()
+                        for d in (data.name, out.name) for p in sorted((tmp_path / d).iterdir())})
+    assert sorted(outputs[0]) == ["all.jsonl", "ip.jsonl", "iva.jsonl", "khn.jsonl", "lcc.jsonl", "mixplan.json",
+                                  "sp.jsonl", "stats.json", "train.tuples", "vocab.tsv"]
+    assert outputs[0] == outputs[1]
+
+
+def test_readme_library_block_runs():
+    # the README's import list names only what the package exports
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_workers_zero_counts_the_cpus_this_process_may_run_on(ingested, tmp_path, monkeypatch):
@@ -355,6 +393,14 @@ def _header(section, key, value):
     return lambda h: {**h, section: {**h[section], key: value}}
 
 
+def _field(key, value):
+    return lambda r: {**r, key: value}
+
+
+def _input(i, token):
+    return lambda r: {**r, "input": r["input"][:i] + [token] + r["input"][i + 1:]}
+
+
 # (corpus file, line mutated, mutation, verify exit code, mix exit code).
 # A record that is not an object or has a field of the wrong shape is a
 # data error when read. A header or record that reads but breaks the
@@ -379,6 +425,29 @@ MALFORMED = [
                  id="task_token_not_int"),
     pytest.param("khn", 0, lambda h: {**h, "version": 2}, 2, 2, id="header_other_version"),
     pytest.param("lcc", 1, _target("scalar", 10**400), 3, 3, id="scalar_target_too_large_for_float"),
+    # every input token is an int in [0, relation top + value_ceiling]
+    pytest.param("sp", 1, _input(1, "x"), 3, 3, id="input_token_not_int"),
+    pytest.param("sp", 1, _input(1, -7), 3, 3, id="input_token_negative"),
+    pytest.param("sp", 1, _input(1, 10**9), 3, 3, id="input_token_past_value_tokens"),
+    pytest.param("iva", 1, _input(1, True), 3, 3, id="input_token_bool"),
+    pytest.param("khn", 0, _header("config", "value_ceiling", "x"), 3, 3, id="header_value_ceiling_not_int"),
+    # each task has one target kind
+    pytest.param("lcc", 1, _target("label", 1), 3, 3, id="lcc_target_kind_label"),
+    pytest.param("sp", 1, _target("scalar", 0.5), 3, 3, id="sp_target_kind_scalar"),
+    pytest.param("lcc", 1, _target("scalar", "0.5"), 3, 3, id="scalar_target_string"),
+    pytest.param("lcc", 1, _target("scalar", True), 3, 3, id="scalar_target_bool"),
+    pytest.param("iva", 1, _target("label", True), 3, 3, id="label_target_bool"),
+    pytest.param("iva", 1, _target("label", 1.0), 3, 3, id="label_target_float"),
+    # a task corpus, whose header has no alpha, holds weight 1.0
+    pytest.param("khn", 1, _field("weight", "x"), 3, 3, id="weight_string"),
+    pytest.param("khn", 1, _field("weight", 7.5), 3, 3, id="weight_not_one"),
+    pytest.param("khn", 1, _field("weight", None), 3, 3, id="weight_null"),
+    pytest.param("khn", 1, _field("weight", True), 3, 3, id="weight_bool"),
+    pytest.param("khn", 1, _field("flags", "xy"), 3, 3, id="flags_string"),
+    pytest.param("khn", 1, _field("flags", {"clipped": 1}), 3, 3, id="flags_object"),
+    pytest.param("khn", 1, _field("flags", ["bogus"]), 3, 3, id="flags_unknown_name"),
+    pytest.param("khn", 1, _field("flags", ["clipped", "clipped"]), 3, 3, id="flags_repeated"),
+    pytest.param("khn", 1, _field("prov", 5), 3, 3, id="prov_not_string"),
 ]
 
 

@@ -33,18 +33,18 @@ from kgsignals.corpus import (
     write_corpus,
 )
 from kgsignals.graph import Fact, build_index
-from kgsignals.ingest import SPECIAL_TOKENS, TASK_TOKENS, VocabBuilder
+from kgsignals.ingest import SPECIAL_TOKENS, TASK_TOKENS, Vocabulary
 
 from oracles import random_graph
 
 
 def make_vocab(n_ent, n_rel):
-    b = VocabBuilder()
+    v = Vocabulary()
     for i in range(n_ent):
-        b.entity_id(f"e{i}")
+        v.entity_id(f"e{i}")
     for i in range(n_rel):
-        b.relation_id(f"r{i}")
-    return b.freeze()
+        v.relation_id(f"r{i}")
+    return v
 
 
 def chain_graph():

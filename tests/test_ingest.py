@@ -5,7 +5,6 @@ import pytest
 from kgsignals.ingest import (
     ParseError,
     SPECIAL_TOKENS,
-    VocabBuilder,
     Vocabulary,
     compute_stats,
     parse_hypergraph,
@@ -22,7 +21,7 @@ def write(tmp_path, name, text):
 
 
 def test_parse_single_triple(tmp_path):
-    b = VocabBuilder()
+    b = Vocabulary()
     facts = parse_triples(write(tmp_path, "t.tsv", "A\tlikes\tB\n"), b)
     assert len(facts) == 1
     f = facts[0]
@@ -31,24 +30,24 @@ def test_parse_single_triple(tmp_path):
 
 
 def test_parse_triples_field_count_error(tmp_path):
-    b = VocabBuilder()
+    b = Vocabulary()
     p = write(tmp_path, "t.tsv", "A\tlikes\tB\nA\tB\n")
     with pytest.raises(ParseError, match=":2:"):
         parse_triples(p, b)
 
 
 def test_parse_triples_empty_file(tmp_path):
-    assert parse_triples(write(tmp_path, "t.tsv", ""), VocabBuilder()) == []
+    assert parse_triples(write(tmp_path, "t.tsv", ""), Vocabulary()) == []
 
 
 def test_duplicate_lines_kept(tmp_path):
-    b = VocabBuilder()
+    b = Vocabulary()
     facts = parse_triples(write(tmp_path, "t.tsv", "A\tr\tB\nA\tr\tB\n"), b)
     assert len(facts) == 2
 
 
 def test_parse_hypergraph_arity(tmp_path):
-    b = VocabBuilder()
+    b = Vocabulary()
     facts = parse_hypergraph(write(tmp_path, "h.tsv", "rel\ta\tb\tc\n"), b)
     assert facts[0].arity == 3
 
@@ -56,18 +55,18 @@ def test_parse_hypergraph_arity(tmp_path):
 def test_parse_hypergraph_arity_error(tmp_path):
     p = write(tmp_path, "h.tsv", "rel\ta\tb\nrel\ta\n")
     with pytest.raises(ParseError, match=":2:"):
-        parse_hypergraph(p, VocabBuilder())
+        parse_hypergraph(p, Vocabulary())
 
 
 def test_first_seen_id_order(tmp_path):
-    b = VocabBuilder()
+    b = Vocabulary()
     parse_triples(write(tmp_path, "t.tsv", "C\tr2\tA\nA\tr1\tB\n"), b)
     assert b.entities == {"C": 0, "A": 1, "B": 2}
     assert b.relations == {"r2": 0, "r1": 1}
 
 
 def test_empty_vocab_has_only_specials(tmp_path):
-    v = VocabBuilder().freeze()
+    v = Vocabulary()
     path = tmp_path / "vocab.tsv"
     v.save(path)
     lines = path.read_text().splitlines()
@@ -75,12 +74,11 @@ def test_empty_vocab_has_only_specials(tmp_path):
 
 
 def test_vocab_round_trip(tmp_path):
-    b = VocabBuilder()
+    v = Vocabulary()
     for s in ["x", "y", "z"]:
-        b.entity_id(s)
+        v.entity_id(s)
     for s in ["p", "q"]:
-        b.relation_id(s)
-    v = b.freeze()
+        v.relation_id(s)
     path = tmp_path / "vocab.tsv"
     v.save(path)
     v2 = Vocabulary.load(path)
@@ -91,9 +89,9 @@ def test_vocab_round_trip(tmp_path):
 
 def test_vocab_bytes_deterministic(tmp_path):
     def build():
-        b = VocabBuilder()
-        parse_triples(write(tmp_path, "t.tsv", "A\tr\tB\nC\ts\tA\n"), b)
-        return b.freeze()
+        v = Vocabulary()
+        parse_triples(write(tmp_path, "t.tsv", "A\tr\tB\nC\ts\tA\n"), v)
+        return v
 
     p1, p2 = tmp_path / "v1.tsv", tmp_path / "v2.tsv"
     build().save(p1)
@@ -102,11 +100,10 @@ def test_vocab_bytes_deterministic(tmp_path):
 
 
 def test_token_id_layout():
-    b = VocabBuilder()
-    b.entity_id("a")
-    b.entity_id("b")
-    b.relation_id("r")
-    v = b.freeze()
+    v = Vocabulary()
+    v.entity_id("a")
+    v.entity_id("b")
+    v.relation_id("r")
     ns = v.num_specials
     assert v.entity_token(0) == ns
     assert v.relation_token(0) == ns + 2
@@ -119,7 +116,7 @@ def test_token_id_layout():
 
 def test_reemit_triples_round_trip(tmp_path):
     text = "A\tr\tB\nC\ts\tA\nA\tr\tB\n"
-    b = VocabBuilder()
+    b = Vocabulary()
     facts = parse_triples(write(tmp_path, "t.tsv", text), b)
     ent_by_id = {i: s for s, i in b.entities.items()}
     rel_by_id = {i: s for s, i in b.relations.items()}
@@ -131,10 +128,10 @@ def test_reemit_triples_round_trip(tmp_path):
 
 
 def test_stats(tmp_path):
-    b = VocabBuilder()
+    b = Vocabulary()
     train = parse_triples(write(tmp_path, "tr.tsv", "A\tr\tB\nB\tr\tC\n"), b)
     valid = parse_triples(write(tmp_path, "va.tsv", "A\ts\tC\n"), b)
-    stats = compute_stats(b.freeze(), {"train": train, "valid": valid})
+    stats = compute_stats(b, {"train": train, "valid": valid})
     assert stats.num_entities == 3
     assert stats.num_relations == 2
     assert stats.split_counts == {"train": 2, "valid": 1}
@@ -165,7 +162,7 @@ def test_lf_crlf_and_cr_line_endings_give_the_same_facts(tmp_path, parse, text):
     for i, (bom, end) in enumerate([("", "\n"), ("", "\r\n"), ("", "\r"), ("\ufeff", "\n")]):
         p = tmp_path / f"f{i}.tsv"
         p.write_bytes((bom + text.replace("\n", end)).encode())
-        b = VocabBuilder()
-        parsed.append((parse(p, b), b.freeze()))
+        b = Vocabulary()
+        parsed.append((parse(p, b), b))
     assert parsed[0] == parsed[1] == parsed[2] == parsed[3]
     assert len(parsed[0][0]) == 3
