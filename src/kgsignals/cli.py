@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad input file),
 3 invariant violation: a corpus breaks the record contract of
-``corpus.check_corpus``, found by ``verify`` or refused by ``generate``
+``records.check_corpus``, found by ``verify`` or refused by ``generate``
 or ``mix``, which check every record before writing it. Progress goes
 to stderr, machine-readable output to stdout. Flag precedence: command line >
 config file (``--config``, JSON) > built-in defaults; the effective
@@ -23,6 +23,10 @@ input file, and refuses inputs whose vocabularies, configs (apart from
 the seed) or record bounds differ from the first input's. The mixture
 keeps the first input's config and config hash; its top-level seed is
 the mix seed.
+
+Only ``generate`` loads numpy, through the generation calls of
+:mod:`kgsignals.corpus`, which it imports after parsing its arguments;
+``ingest``, ``stats``, ``verify`` and ``mix`` run without it.
 """
 
 from __future__ import annotations
@@ -38,20 +42,18 @@ from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
-from . import corpus as corpus_mod
-from .corpus import (
+from .records import (
+    CorpusFormatError,
     CorpusInvariantError,
     EmptyCorpusError,
     GenerationConfig,
     MixPlan,
     TASKS,
-    WorkerPool,
     WrittenCorpus,
     check_and_serialize,
     check_corpus,
     check_totals,
     corpus_header,
-    generate_task_records,
     mix_multitask,
     mixture_lines,
     read_corpus,
@@ -72,6 +74,20 @@ from .ingest import (
 )
 
 log = logging.getLogger("kgsignals")
+
+# the generation calls, which load numpy: imported on first use, and
+# looked up through this module, so that a patched attribute takes effect
+_GENERATION = ("WorkerPool", "generate_task_records")
+
+
+def __getattr__(name: str):
+    if name not in _GENERATION:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import corpus
+
+    value = globals()[name] = getattr(corpus, name)
+    return value
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -300,14 +316,17 @@ def cmd_generate(args) -> int:
     workers = args.workers or _usable_cpus()
     tasks = list(TASKS) if args.task == "all" else [args.task]
     meta = _corpus_meta(cfg, vocab)
-    with _staged_writes() as stage, ExitStack() as opened, closing(WorkerPool(g, vocab, cfg)) as pool:
+    generation = sys.modules[__name__]  # the generation calls, as module attributes
+    with _staged_writes() as stage, ExitStack() as opened, closing(generation.WorkerPool(g, vocab, cfg)) as pool:
         written: dict[str, WrittenCorpus] = {}
         for task in tasks:
             t0 = time.monotonic()
             path = out / f"{task}.jsonl"
             label = f"{path} (not written)"
             finish = partial(check_and_serialize, label, record_bounds(label, meta))
-            result = generate_task_records(g, vocab, task, cfg, workers=workers, finish=finish, pool=pool)
+            result = generation.generate_task_records(
+                g, vocab, task, cfg, workers=workers, finish=finish, pool=pool
+            )
             log.info(
                 "%s: %d records (%d skipped) in %.1fs",
                 task, len(result.records), result.skipped, time.monotonic() - t0,
@@ -351,7 +370,7 @@ def cmd_mix(args) -> int:
             meta.pop("counts", None)
         elif h.get("vocab_hash") != meta.get("vocab_hash"):
             # token ids of different vocabularies mean different things
-            raise corpus_mod.CorpusFormatError(
+            raise CorpusFormatError(
                 f"{path}:1: vocab_hash {h.get('vocab_hash')} differs from "
                 f"{meta.get('vocab_hash')} of {first}; "
                 "corpora of different vocabularies cannot be mixed"
@@ -360,13 +379,13 @@ def cmd_mix(args) -> int:
             # the output header's one config must describe every record;
             # corpora generated with different seeds still mix
             diff = sorted(k for k in config.keys() | input_config.keys() if config.get(k) != input_config.get(k))
-            raise corpus_mod.CorpusFormatError(
+            raise CorpusFormatError(
                 f"{path}:1: config differs from that of {first} in {diff}; "
                 "corpora of different configs cannot be mixed"
             )
         elif input_bounds != bounds:
             # under one config, the vocabulary sizes can still differ
-            raise corpus_mod.CorpusFormatError(
+            raise CorpusFormatError(
                 f"{path}:1: {input_bounds} differs from {bounds} of {first}; "
                 "corpora of different record bounds cannot be mixed"
             )
@@ -414,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, corpus_mod.CorpusFormatError, GraphError, OSError) as exc:
+    except (ParseError, CorpusFormatError, GraphError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except CorpusInvariantError as exc:

@@ -7,7 +7,9 @@ arity-2 facts are ordinary knowledge-graph triples in the form r(h, t).
 Entity co-occurrence is counted by one builder,
 :func:`cooccurrence_arrays`, in numpy alone, and every reader walks its
 CSR arrays directly; :func:`row_cells` gathers the stored cells of a set
-of rows.
+of rows. Those two functions alone import numpy, when first called, so
+the facts and their incidence index load without it. Of the CLI
+commands only ``generate`` calls them.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class GraphError(Exception):
@@ -53,6 +57,8 @@ def cooccurrence_arrays(facts: Sequence[Fact], num_entities: int) -> tuple[np.nd
     indices of each row ascend and ``indptr`` has ``num_entities + 1``
     entries.
     """
+    import numpy as np
+
     pairs = np.array([p for f in facts for p in combinations(f.entities, 2)], dtype=np.int64).reshape(-1, 2)
     n = num_entities
     a, b = pairs[:, 0], pairs[:, 1]
@@ -69,6 +75,8 @@ def cooccurrence_arrays(facts: Sequence[Fact], num_entities: int) -> tuple[np.nd
 def row_cells(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions in ``indices`` and ``data`` of the stored cells of ``rows``,
     row after row in the order given, and each row's cell count."""
+    import numpy as np
+
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
     # each row's start less the cells of the rows before it in ``rows``

@@ -9,7 +9,8 @@ Every input file is UTF-8 and is read by :func:`read_lines`: a line
 ends at LF, CRLF or CR, empty lines are skipped, and a byte that is not
 UTF-8 raises :class:`ParseError` naming the file and line (exit 2).
 Surface strings are kept verbatim (no normalization); all math
-downstream runs on dense integer ids.
+downstream runs on dense integer ids. Parsing and statistics run in
+plain Python, so ``ingest`` and ``stats`` never load numpy.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 
-import numpy as np
-
-from .graph import Fact, cooccurrence_arrays
+from .graph import Fact
 
 # Reserved special tokens; their ids form a contiguous block below all
 # entity and relation token ids. Order is part of the file format.
@@ -262,10 +262,15 @@ def compute_stats(vocab: Vocabulary, splits: dict[str, list[Fact]]) -> DatasetSt
     total = len(all_facts)
     tpe = total / n_ent if n_ent else 0.0
     # average degree: distinct co-occurrence partners per entity, the
-    # off-diagonal cells of the co-occurrence matrix
-    indptr, indices, _ = cooccurrence_arrays(all_facts, n_ent)
-    rows = np.repeat(np.arange(n_ent), np.diff(indptr))
-    avg_deg = np.count_nonzero(indices != rows) / n_ent if n_ent else 0.0
+    # off-diagonal cells of the co-occurrence matrix; each unordered pair
+    # {a, b} of distinct entities, keyed a*n + b with a < b, is two cells
+    pairs = {
+        a * n_ent + b if a < b else b * n_ent + a
+        for f in all_facts
+        for a, b in combinations(f.entities, 2)
+        if a != b
+    }
+    avg_deg = 2 * len(pairs) / n_ent if n_ent else 0.0
     return DatasetStats(
         num_entities=n_ent,
         num_relations=vocab.num_relations,

@@ -1,0 +1,471 @@
+"""The corpus format: task records, corpus files, the record contract
+and the multitask mixture.
+
+A corpus is line-delimited JSON: a header line, then one
+:class:`TaskRecord` per line. Every input token sequence starts with its
+task token and is clipped to a maximum length (deterministic prefix).
+Targets are type-tagged: token sequences for path tasks, occurrence
+distributions for neighbourhood prediction, binary labels for matrix
+equivalence and scalars for clustering. :func:`check_corpus` is the
+record contract: ``verify`` runs it, ``mix`` runs it on each input, and
+``generate`` runs its per-record and totals parts on what it writes.
+
+Writing a corpus serializes each record once, in the process that built
+it: :func:`check_and_serialize` runs the per-record part of the record
+contract (:func:`check_record`) and returns the record's weightless
+prefix, its line up to ``"weight":``. Sorted keys put the weight last,
+so a line is that prefix, the weight and ``}``. A task corpus is written
+at unit weight by :func:`write_corpus`, which returns every line's byte
+offset; :class:`WrittenCorpus` reads the prefixes back by offset, so the
+mixture never serializes a record again.
+
+Neither this module nor any module it imports loads numpy, so
+``verify`` and ``mix`` run without it. Of the CLI commands only
+``generate`` loads numpy, through the generation code of
+:mod:`kgsignals.corpus`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import mmap
+import random
+from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Sized
+from dataclasses import dataclass, fields, asdict
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+from .ingest import SPECIAL_TOKENS, TASK_TOKENS, read_lines
+
+if TYPE_CHECKING:
+    from .paths import PathSearchConfig
+
+FORMAT_NAME = "kgsignals-corpus"
+FORMAT_VERSION = 1
+# each task, in generation order, and the target kind of its records
+_TARGET_KINDS = {"sp": "tokens", "ip": "tokens", "khn": "dist", "iva": "label", "lcc": "scalar"}
+TASKS = tuple(_TARGET_KINDS)
+_FLAGS = frozenset({"clipped", "clamped"})
+
+
+class EmptyCorpusError(Exception):
+    """Every per-task record list was empty; nothing to mix."""
+
+
+class CorpusFormatError(Exception):
+    """Malformed corpus file; message carries the line number."""
+
+
+class CorpusInvariantError(Exception):
+    """A corpus breaks the record contract of :func:`check_corpus`."""
+
+
+@dataclass(frozen=True)
+class GenerationConfig:
+    seed: int
+    hops: int = 3  # neighborhood radius bound
+    max_hops: int = 4  # path length bound
+    beam_k: int = 4
+    sp_cap: int = 16
+    iva_cap: int = 30
+    corruption_rate: float = 0.10
+    max_len: int = 1024
+    value_ceiling: int = 64
+    occurrence_weighted: bool = True
+    lcc_weighted: bool = False
+
+    def __post_init__(self) -> None:
+        """Reject wrong types and out-of-range values with ValueError."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "bool":
+                ok = isinstance(v, bool)
+            elif f.type == "float":
+                ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+            else:
+                ok = isinstance(v, int) and not isinstance(v, bool)
+            if not ok:
+                raise ValueError(f"{f.name} must be {f.type}, got {v!r}")
+        for name in ("hops", "max_hops", "beam_k", "sp_cap", "iva_cap", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.corruption_rate <= 1:
+            raise ValueError(f"corruption_rate must be in [0, 1], got {self.corruption_rate}")
+        if self.value_ceiling < 0:
+            raise ValueError(f"value_ceiling must be >= 0, got {self.value_ceiling}")
+
+    def path_config(self) -> PathSearchConfig:
+        from .paths import PathSearchConfig  # generation code, which the format does not load
+
+        return PathSearchConfig(beam_k=self.beam_k, max_hops=self.max_hops, sp_cap=self.sp_cap)
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    def hash(self) -> str:
+        blob = json.dumps(self.as_dict(), sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()
+
+
+# json.dumps with keyword arguments would build a new encoder per call
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+@dataclass
+class TaskRecord:
+    task: str
+    input_tokens: list[int]
+    target_kind: str  # tokens | dist | label | scalar
+    target: object
+    provenance: str
+    weight: float | None = None
+    flags: Sequence[str] = ()  # distinct names from "clipped" and "clamped"
+
+    def to_json(self) -> str:
+        return _RECORD_ENCODER.encode(
+            {
+                "task": self.task,
+                "input": self.input_tokens,
+                "target": {"kind": self.target_kind, "value": self.target},
+                "prov": self.provenance,
+                "weight": self.weight,
+                "flags": list(self.flags),
+            }
+        )
+
+    @classmethod
+    def from_json(cls, line: str) -> "TaskRecord":
+        d = json.loads(line)
+        target = d["target"]["value"]
+        if d["target"]["kind"] == "dist":
+            target = [tuple(pair) for pair in target]
+        elif d["target"]["kind"] == "tokens":
+            target = list(target)
+        return cls(
+            task=d["task"],
+            input_tokens=list(d["input"]),
+            target_kind=d["target"]["kind"],
+            target=target,
+            provenance=d["prov"],
+            weight=d["weight"],
+            flags=d["flags"],
+        )
+
+
+@dataclass
+class MixPlan:
+    sizes: dict[str, int]
+    alpha: dict[str, float]
+    seed: int
+
+
+def mix_multitask(
+    task_lists: Mapping[str, Sized], seed: int
+) -> tuple[list[tuple[str, int]], MixPlan]:
+    """Interleave per-task records into one stream, as (task, index into
+    ``task_lists[task]``) pairs; only the list lengths are read.
+
+    Drawing the next record by choosing a task with probability
+    proportional to its remaining records and then a uniform record
+    within that task, without replacement, is exactly a uniform random
+    permutation of the union; implemented as a seeded shuffle of the
+    records concatenated in sorted task order. Weights are the per-task
+    dataset-size fractions.
+    """
+    sizes = {t: len(rs) for t, rs in task_lists.items() if len(rs)}
+    total = sum(sizes.values())
+    if total == 0:
+        raise EmptyCorpusError("all task record lists are empty")
+    alpha = {t: n / total for t, n in sizes.items()}
+    order = [(t, i) for t in sorted(sizes) for i in range(sizes[t])]
+    random.Random(f"{seed}:mix").shuffle(order)  # its draws depend only on len(order)
+    return order, MixPlan(sizes=sizes, alpha=alpha, seed=seed)
+
+
+def corpus_header(counts: dict[str, int], meta: dict) -> dict:
+    """The header line of a corpus: ``meta`` plus the format, the version
+    and the per-task record counts."""
+    header = dict(meta)
+    header.setdefault("format", FORMAT_NAME)
+    header.setdefault("version", FORMAT_VERSION)
+    header["counts"] = counts
+    return header
+
+
+# a corpus line is a weightless prefix followed by one of these tails
+_NO_WEIGHT = "null}"
+_UNIT_WEIGHT = "1.0}"
+
+
+def weightless_prefix(r: TaskRecord) -> str:
+    """``r.to_json()`` of a record whose weight is None, up to and
+    including ``"weight":``, the last key."""
+    return r.to_json()[: -len(_NO_WEIGHT)]
+
+
+def check_and_serialize(path: str, bounds: RecordBounds, records: list[TaskRecord]) -> list[str]:
+    """Check each record of a freshly built chunk against ``bounds``,
+    naming it by provenance, then serialize it once: the weightless
+    prefixes, in record order. Runs in the process that built the chunk."""
+    for r in records:
+        check_record(path, r.provenance, bounds, r)
+    return [weightless_prefix(r) for r in records]
+
+
+def write_corpus(path: str | Path, header: dict, lines: Iterable[str]) -> array:
+    """Write the header line followed by one line per item of ``lines``.
+    Returns the byte offset at which each record line starts, followed
+    by the file's length."""
+    offsets = array("q")
+    with open(path, "wb") as fh:
+        pos = fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        for line in lines:
+            offsets.append(pos)
+            pos += fh.write(line.encode() + b"\n")
+        offsets.append(pos)
+    return offsets
+
+
+def unit_weight_lines(prefixes: Iterable[str]) -> Iterator[str]:
+    """The lines of a task corpus, every record at weight 1.0."""
+    return (p + _UNIT_WEIGHT for p in prefixes)
+
+
+def mixture_lines(
+    prefixes: Mapping[str, Sequence[str]], order: Iterable[tuple[str, int]], alpha: dict[str, float]
+) -> Iterator[str]:
+    """The lines of a mixture: record ``i`` of task ``t`` for each (t, i)
+    of ``order``, at weight ``alpha[t]``."""
+    tails = {t: json.dumps(a) + "}" for t, a in alpha.items()}
+    return (prefixes[t][i] + tails[t] for t, i in order)
+
+
+class WrittenCorpus(Sequence):
+    """The weightless prefixes of a corpus that :func:`write_corpus` wrote
+    at unit weight, read back from the file by the offsets it returned."""
+
+    def __init__(self, path: str | Path, offsets: array) -> None:
+        self._offsets = offsets
+        with open(path, "rb") as fh:
+            self._map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, i: int) -> str:
+        # the line without its unit-weight tail and newline
+        return self._map[self._offsets[i] : self._offsets[i + 1] - len(_UNIT_WEIGHT) - 1].decode()
+
+    def close(self) -> None:
+        self._map.close()
+
+
+def _header_int(section: dict, key: str, default: int) -> int:
+    value = section.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{key} must be an int, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class RecordBounds:
+    """What a corpus header allows its records: token ranges, the input
+    and path lengths, the value-token ceiling and the scalar range."""
+
+    ent_lo: int
+    ent_hi: int
+    rel_lo: int
+    rel_hi: int
+    max_len: int
+    max_hops: int
+    value_ceiling: int
+    scalar_hi: float
+    scalar_range: str
+
+
+def record_bounds(path: str | Path, header: dict) -> RecordBounds:
+    """The bounds ``header`` sets; a malformed header raises
+    :class:`CorpusInvariantError` naming ``path``."""
+    try:
+        sizes = header.get("vocab_sizes") or {}
+        n_special = _header_int(sizes, "specials", len(SPECIAL_TOKENS))
+        n_ent = _header_int(sizes, "entities", 0)
+        n_rel = _header_int(sizes, "relations", 0)
+        cfg = header.get("config") or {}
+        max_len = _header_int(cfg, "max_len", GenerationConfig.max_len)
+        max_hops = _header_int(cfg, "max_hops", GenerationConfig.max_hops)
+        value_ceiling = _header_int(cfg, "value_ceiling", GenerationConfig.value_ceiling)
+        lcc_weighted = cfg.get("lcc_weighted", GenerationConfig.lcc_weighted)
+        if not isinstance(lcc_weighted, bool):
+            raise TypeError(f"lcc_weighted must be a bool, got {lcc_weighted!r}")
+    except (AttributeError, TypeError) as exc:
+        raise CorpusInvariantError(f"{path}: malformed header: {exc}") from exc
+    ent_hi = n_special + n_ent
+    scalar_hi, scalar_range = (math.inf, "[0, inf)") if lcc_weighted else (1.0, "[0, 1]")
+    return RecordBounds(
+        n_special, ent_hi, ent_hi, ent_hi + n_rel, max_len, max_hops, value_ceiling, scalar_hi, scalar_range
+    )
+
+
+_NO_PATH = SPECIAL_TOKENS.index("[NO_PATH]")
+_EOS = SPECIAL_TOKENS.index("[EOS]")
+
+
+def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
+    if r.task not in TASKS:
+        return f"unknown task {r.task!r}"
+    if r.target_kind != _TARGET_KINDS[r.task]:
+        return f"{r.task} target kind {r.target_kind!r} is not {_TARGET_KINDS[r.task]!r}"
+    if type(r.provenance) is not str:
+        return f"provenance {r.provenance!r} is not a string"
+    flags = r.flags
+    if type(flags) not in (list, tuple) or not _FLAGS.issuperset(flags) or len(set(flags)) < len(flags):
+        return f"flags {flags!r} are not distinct names from {sorted(_FLAGS)}"
+    tokens = r.input_tokens
+    if not tokens:
+        return "empty input"
+    first = tokens[0]
+    if type(first) is not int or first != SPECIAL_TOKENS.index(TASK_TOKENS[r.task]):
+        return "input does not start with its task token"
+    if len(tokens) > b.max_len:
+        return f"input length {len(tokens)} exceeds {b.max_len}"
+    # builtins that run in C: one type pass, then min and max
+    if set(map(type, tokens)) != {int}:
+        return f"input token {next(t for t in tokens if type(t) is not int)!r} is not an integer"
+    lo, hi, top = min(tokens), max(tokens), b.rel_hi + b.value_ceiling  # top: the largest value token
+    if lo < 0 or hi > top:
+        return f"input token {lo if lo < 0 else hi} outside [0, {top}]"
+    if r.target_kind == "tokens":
+        t = r.target
+        for tok in t:
+            if type(tok) is not int:
+                return f"token {tok!r} is not an integer"
+        if t != [_NO_PATH]:
+            if not t or t[-1] != _EOS:
+                return "token target does not end with the end sentinel"
+            body = t[:-1]
+            if len(body) > b.max_hops:
+                return f"path length {len(body)} exceeds {b.max_hops}"
+            if len(set(body)) != len(body):
+                return "repeated relation on path"
+            for tok in body:
+                if not b.rel_lo <= tok < b.rel_hi:
+                    return f"token {tok} is not a relation token"
+    elif r.target_kind == "dist":
+        for tok, p in r.target:
+            if not 0 <= p < math.inf:  # false for NaN
+                return f"probability {p} is not finite and >= 0"
+            if type(tok) is not int or not b.ent_lo <= tok < b.ent_hi:
+                return f"token {tok!r} is not an entity token"
+        total = sum(p for _, p in r.target)
+        if abs(total - 1.0) > 1e-9:
+            return f"distribution sums to {total}"
+    elif r.target_kind == "scalar":
+        if type(r.target) not in (int, float):
+            return f"scalar target {r.target!r} is not a number"
+        value = float(r.target)
+        if not (0.0 <= value <= b.scalar_hi and math.isfinite(value)):
+            return f"scalar target {r.target} outside {b.scalar_range}"
+    elif type(r.target) is not int or r.target not in (0, 1):  # the one kind left, "label"
+        return f"label target {r.target!r} is not the integer 0 or 1"
+    return None
+
+
+def check_record(path: str | Path, label: object, bounds: RecordBounds, r: TaskRecord) -> None:
+    """Raise :class:`CorpusInvariantError`, naming ``path: record
+    <label>``, unless ``r`` keeps the per-record part of the contract.
+
+    The target kind is the task's: ``tokens`` for sp and ip, ``dist``
+    for khn, ``label`` for iva and ``scalar`` for lcc. The provenance is
+    a string, and the flags are a list of distinct names from
+    ``clipped`` and ``clamped``. The input starts with its task token,
+    fits ``max_len``, and every input token lies in [0, relation top +
+    ``value_ceiling``], the largest value token. A token target is
+    [NO_PATH] or at most ``max_hops`` distinct relation tokens and [EOS].
+    A dist target is entity tokens with finite, non-negative
+    probabilities summing to 1. Every token id checked here is an
+    integer, so ``5.0`` and ``true`` are not. A label is the integer 0
+    or 1. A scalar is an int or float, not a bool, and lies in [0, 1],
+    or is finite and >= 0 when ``config.lcc_weighted``. A corpus of
+    another format version never gets here: :func:`read_corpus` refuses
+    it as a format error.
+    """
+    try:
+        problem = _record_problem(bounds, r)
+    except (TypeError, ValueError, OverflowError) as exc:
+        # a field of the wrong shape, such as a dist target that is not
+        # a list of pairs, a scalar that is not a number or one too
+        # large for a float
+        problem = f"malformed record: {exc}"
+    if problem is not None:
+        raise CorpusInvariantError(f"{path}: record {label}: {problem}")
+
+
+def check_totals(path: str | Path, header: dict, counts: dict[str, int]) -> None:
+    """The totals part of the contract: the header counts are the actual
+    per-task ``counts`` and, with ``alpha``, the task weights are floats,
+    never bools or ints, that sum to 1."""
+    if header.get("counts") != counts:
+        raise CorpusInvariantError(f"{path}: header counts {header.get('counts')} != actual {counts}")
+    alpha = header.get("alpha")
+    if alpha is not None:
+        if not isinstance(alpha, dict):
+            raise CorpusInvariantError(f"{path}: malformed header: task weights {alpha!r} are not an object")
+        for task, a in alpha.items():
+            if type(a) is not float:
+                raise CorpusInvariantError(f"{path}: malformed header: task weight {task} is {a!r}, not a float")
+        total = sum(alpha.values())
+        if not abs(total - 1.0) <= 1e-12:  # true for NaN
+            raise CorpusInvariantError(f"{path}: task weights sum to {total}")
+
+
+def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> None:
+    """Raise :class:`CorpusInvariantError`, naming ``path``, unless the
+    header and records keep the record contract: every record passes
+    :func:`check_record` under the header's bounds, the totals pass
+    :func:`check_totals`, and each record's weight is its task's
+    ``alpha``, or 1.0 when the header has none. A bool is never a
+    weight."""
+    bounds = record_bounds(path, header)
+    counts: dict[str, int] = {}
+    for i, r in enumerate(records):
+        check_record(path, i, bounds, r)
+        counts[r.task] = counts.get(r.task, 0) + 1
+    check_totals(path, header, counts)
+    alpha = header.get("alpha")
+    for i, r in enumerate(records):
+        want = 1.0 if alpha is None else alpha.get(r.task)
+        if r.weight != want or type(r.weight) is bool:
+            raise CorpusInvariantError(
+                f"{path}: record {i}: weight {r.weight!r} != " + ("1.0" if alpha is None else f"alpha[{r.task}]")
+            )
+
+
+def read_corpus(path: str | Path) -> tuple[dict, list[TaskRecord]]:
+    """The header and records of a corpus file, read line by line. A
+    header of another format or format version is a format error."""
+    lines = read_lines(path)
+    ln, first = next(lines, (0, ""))
+    if ln != 1:
+        raise CorpusFormatError(f"{path}: empty file" if ln == 0 else f"{path}:1: bad header: empty line")
+    try:
+        header = json.loads(first)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"{path}:1: bad header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+        raise CorpusFormatError(f"{path}:1: not a {FORMAT_NAME} file")
+    version = header.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise CorpusFormatError(f"{path}:1: format version {version!r}, expected {FORMAT_VERSION}")
+    records: list[TaskRecord] = []
+    for ln, line in lines:
+        try:
+            records.append(TaskRecord.from_json(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            # not JSON, a missing field, or a record or field of the wrong
+            # shape (JSONDecodeError is a ValueError)
+            raise CorpusFormatError(f"{path}:{ln}: bad record: {exc}") from exc
+    return header, records

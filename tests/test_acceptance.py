@@ -24,7 +24,7 @@ from kgsignals.adjacency import (
     unflatten_adjacency,
 )
 from kgsignals.cli import main
-from kgsignals.corpus import read_corpus
+from kgsignals.records import read_corpus
 from kgsignals.graph import Fact, build_index
 from kgsignals.ingest import SPECIAL_TOKENS, Vocabulary, compute_stats, parse_hypergraph, parse_triples
 from kgsignals.neighborhood import EmptyNeighborhoodError, NeighborhoodIndex, khop_entities

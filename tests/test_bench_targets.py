@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 from kgsignals.cli import _read_tuples, main
-from kgsignals.corpus import GenerationConfig
+from kgsignals.records import GenerationConfig
 from kgsignals.graph import build_index
 from kgsignals.ingest import Vocabulary
 from kgsignals.paths import information_gain_paths

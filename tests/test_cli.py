@@ -11,7 +11,7 @@ import pytest
 import kgsignals
 from kgsignals import corpus as corpus_mod
 from kgsignals.cli import main
-from kgsignals.corpus import TaskRecord, read_corpus
+from kgsignals.records import TaskRecord, read_corpus
 from kgsignals.ingest import SPECIAL_TOKENS, Vocabulary
 
 TRIPLES = """\
@@ -78,6 +78,15 @@ def _subprocess_env(**extra):
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def _run_in_fresh_interpreter(code: str, steps: list) -> list:
+    """The JSON list that ``code`` prints last, run with the CLI steps as
+    its one argument."""
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(steps)], capture_output=True, text=True,
+                         env=_subprocess_env(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
 def test_no_command_imports_scipy(dataset, ingested, tmp_path):
     out = tmp_path / "corpus"
     assert main(["generate", "lcc", "--data", str(ingested), "--out", str(out), "--seed", "7",
@@ -86,29 +95,39 @@ def test_no_command_imports_scipy(dataset, ingested, tmp_path):
     # 40 triples give 80 sp items, enough for generate to fork its workers
     forked = tmp_path / "forked.tsv"
     forked.write_text("".join(f"e{i}\tr{i % 3}\te{(7 * i + 1) % 30}\n" for i in range(40)))
-    steps = [
+    without_numpy = [
         ["ingest", "--train", str(dataset), "--out", str(tmp_path / "data2")],
         ["stats", "--train", str(dataset)],
         ["verify", lcc],
         ["mix", lcc, "--seed", "9", "--out", str(tmp_path / "remix.jsonl")],
+        ["ingest", "--train", str(forked), "--out", str(tmp_path / "data3")],
+    ]
+    # the package and the CLI import without numpy, and every command
+    # but generate runs in an interpreter where importing numpy raises
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import kgsignals, kgsignals.cli\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "sys.modules['numpy'] = None\n"
+        "print(json.dumps([loaded] + [kgsignals.cli.main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    assert _run_in_fresh_interpreter(code, without_numpy) == [False] + [0] * len(without_numpy)
+    generate = [
         ["generate", "lcc", "--data", str(ingested), "--out", str(tmp_path / "corpus2"), "--seed", "7",
          "--workers", "1"],
-        ["ingest", "--train", str(forked), "--out", str(tmp_path / "data3")],
         ["generate", "all", "--data", str(tmp_path / "data3"), "--out", str(tmp_path / "corpus3"), "--seed", "7",
          "--workers", "2"],
     ]
-    # each command in turn in one fresh interpreter where importing scipy
-    # raises, in the forked workers too
+    # generate in one fresh interpreter where importing scipy raises, in
+    # the forked workers too
     code = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
         "from kgsignals.cli import main\n"
         "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
     )
-    run = subprocess.run([sys.executable, "-c", code, json.dumps(steps)], capture_output=True, text=True,
-                         env=_subprocess_env(), timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.splitlines()[-1]) == [0] * len(steps), run.stderr
+    assert _run_in_fresh_interpreter(code, generate) == [0] * len(generate)
 
 
 def test_output_does_not_depend_on_the_string_hash_seed(tmp_path):
@@ -143,6 +162,28 @@ def test_readme_library_block_runs():
     library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     code = library.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+# every name the package re-exports, each loaded from its module on first use
+PACKAGE_EXPORTS = [
+    "Fact", "KnowledgeGraph", "build_index",
+    "Vocabulary", "parse_hypergraph", "parse_triples",
+    "CandidateTrie", "PathSearchConfig", "conditional_entropy", "ground_paths", "information_gain_paths",
+    "path_information_gain", "relation_entropy", "shortest_relational_paths",
+    "NeighborhoodIndex", "khop_entities",
+    "AdjacencyMatrix", "IvaExample", "flatten_adjacency", "make_iva_example", "relationless_adjacency",
+    "unflatten_adjacency",
+    "GenerationConfig", "MixPlan", "TaskRecord", "generate_task_records", "mix_multitask", "read_corpus",
+    "write_corpus",
+    "__version__",
+]
+
+
+@pytest.mark.parametrize("name", PACKAGE_EXPORTS)
+def test_package_re_exports_name(name):
+    namespace = {}
+    exec(f"from kgsignals import {name}", namespace)
+    assert namespace[name] is getattr(kgsignals, name)
 
 
 def test_workers_zero_counts_the_cpus_this_process_may_run_on(ingested, tmp_path, monkeypatch):
@@ -448,6 +489,8 @@ MALFORMED = [
     pytest.param("khn", 1, _field("flags", ["bogus"]), 3, 3, id="flags_unknown_name"),
     pytest.param("khn", 1, _field("flags", ["clipped", "clipped"]), 3, 3, id="flags_repeated"),
     pytest.param("khn", 1, _field("prov", 5), 3, 3, id="prov_not_string"),
+    # a task weight is a float; True would equal the records' weight 1.0
+    pytest.param("sp", 0, lambda h: {**h, "alpha": {"sp": True}}, 3, 3, id="header_alpha_bool"),
 ]
 
 

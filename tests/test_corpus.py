@@ -11,19 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 from kgsignals import corpus as corpus_mod
 from kgsignals.adjacency import AdjacencyMatrix, flatten_adjacency
-from kgsignals.corpus import (
+from kgsignals.corpus import WorkerPool, _flatten_tokens, _khn_lcc_input, generate_task_records
+from kgsignals.graph import Fact, build_index
+from kgsignals.ingest import SPECIAL_TOKENS, TASK_TOKENS, Vocabulary
+from kgsignals.records import (
     EmptyCorpusError,
     CorpusFormatError,
     CorpusInvariantError,
     GenerationConfig,
     TaskRecord,
-    WorkerPool,
     WrittenCorpus,
-    _flatten_tokens,
-    _khn_lcc_input,
     check_and_serialize,
     corpus_header,
-    generate_task_records,
     mix_multitask,
     mixture_lines,
     read_corpus,
@@ -32,8 +31,6 @@ from kgsignals.corpus import (
     weightless_prefix,
     write_corpus,
 )
-from kgsignals.graph import Fact, build_index
-from kgsignals.ingest import SPECIAL_TOKENS, TASK_TOKENS, Vocabulary
 
 from oracles import random_graph
 
