@@ -13,23 +13,14 @@ _EXPORTS = {
     "ingest": ("Vocabulary", "parse_hypergraph", "parse_triples"),
     "paths": (
         "CandidateTrie",
-        "PathSearchConfig",
         "conditional_entropy",
         "ground_paths",
         "information_gain_paths",
-        "path_information_gain",
         "relation_entropy",
         "shortest_relational_paths",
     ),
     "neighborhood": ("NeighborhoodIndex", "khop_entities"),
-    "adjacency": (
-        "AdjacencyMatrix",
-        "IvaExample",
-        "flatten_adjacency",
-        "make_iva_example",
-        "relationless_adjacency",
-        "unflatten_adjacency",
-    ),
+    "adjacency": ("AdjacencyMatrix", "IvaExample", "make_iva_example", "relationless_adjacency"),
     "records": ("GenerationConfig", "MixPlan", "TaskRecord", "mix_multitask", "read_corpus", "write_corpus"),
     "corpus": ("generate_task_records",),
 }

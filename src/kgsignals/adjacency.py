@@ -8,10 +8,9 @@ a column-only swap (re-symmetrized from the corrupted upper triangle) or
 by resampling values, and are verified to not be permutation-equivalent
 for small matrices.
 
-Matrices are NumPy arrays throughout: the upper triangle is read in one
-``np.triu_indices`` gather (:func:`upper_triangle`), which both the
-flattened sequence and the value tokens are built from, and resampling
-draws each cell's replacement pool by array masking.
+Matrices are NumPy arrays throughout, and resampling draws each cell's
+replacement pool by array masking. The token layout of a matrix in an
+IVA record is ``kgsignals.corpus._flatten_tokens``.
 """
 
 from __future__ import annotations
@@ -20,11 +19,17 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import KnowledgeGraph, row_cells
 from .neighborhood import khop_entities
+
+if TYPE_CHECKING:
+    from .records import GenerationConfig
+
+VERIFY_LIMIT = 8  # the largest negative, in entities, checked by permutation search
 
 
 class SkipExample(Exception):
@@ -69,35 +74,6 @@ def relationless_adjacency(g: KnowledgeGraph, entities: list[int]) -> AdjacencyM
     return AdjacencyMatrix(entities=tuple(entities), values=values)
 
 
-def upper_triangle(values: np.ndarray) -> np.ndarray:
-    """Cells (i, j) with i <= j, row-major, diagonal included."""
-    return values[np.triu_indices(values.shape[0])]
-
-
-def flatten_adjacency(a: AdjacencyMatrix) -> list[object]:
-    """Entity ids in column order, then the upper triangle row-major.
-
-    The diagonal is included, so the length is n + n(n+1)/2 and the
-    matrix is recoverable given n.
-    """
-    return list(a.entities) + upper_triangle(a.values).tolist()
-
-
-def unflatten_adjacency(seq: list[object], n: int) -> AdjacencyMatrix:
-    """Inverse of :func:`flatten_adjacency` for an n-entity matrix."""
-    if len(seq) != n + n * (n + 1) // 2:
-        raise ValueError("flattened sequence has wrong length")
-    entities = tuple(int(x) for x in seq[:n])
-    values = np.zeros((n, n), dtype=np.int64)
-    it = iter(seq[n:])
-    for i in range(n):
-        for j in range(i, n):
-            v = int(next(it))
-            values[i, j] = v
-            values[j, i] = v
-    return AdjacencyMatrix(entities=entities, values=values)
-
-
 def _row_signatures(m: np.ndarray) -> list[list[int]]:
     """Each row's diagonal value followed by its sorted values, sorted.
 
@@ -125,30 +101,28 @@ def permutation_equivalent(a: np.ndarray, b: np.ndarray) -> bool:
 def make_iva_example(
     g: KnowledgeGraph,
     center: int,
-    k: int,
+    cfg: GenerationConfig,
     rng: random.Random,
     negative: bool,
-    size_cap: int = 30,
-    corruption_rate: float = 0.10,
-    verify_limit: int = 8,
 ) -> IvaExample:
     """Build one matrix-equivalence example around ``center``.
 
-    The matrix covers the k-hop ball plus the center, uniformly
-    subsampled to ``size_cap`` entities. Positives apply a uniform random
-    permutation to rows, columns and entity labels. Negatives pick a
-    corruption mode uniformly: a column-only swap (with the result read
-    back symmetrically from its upper triangle) or resampling
-    ~corruption_rate of the upper-triangle cells to different observed
-    values. Negatives on matrices up to ``verify_limit``
-    entities are checked against every permutation of the original.
+    The matrix covers the ``cfg.hops``-hop ball plus the center,
+    uniformly subsampled to ``cfg.iva_cap`` entities. Positives apply a
+    uniform random permutation to rows, columns and entity labels.
+    Negatives pick a corruption mode uniformly: a column-only swap (with
+    the result read back symmetrically from its upper triangle) or
+    resampling ~``cfg.corruption_rate`` of the upper-triangle cells to
+    different observed values. Negatives on matrices up to
+    :data:`VERIFY_LIMIT` entities are checked against every permutation
+    of the original.
     """
-    ball = khop_entities(g, center, k).tolist()
+    ball = khop_entities(g, center, cfg.hops).tolist()
     if not ball:
-        raise SkipExample(f"entity {center} has an empty {k}-hop neighborhood")
+        raise SkipExample(f"entity {center} has an empty {cfg.hops}-hop neighborhood")
     members = sorted(ball + [center])
-    if len(members) > size_cap:
-        sampled = rng.sample([e for e in members if e != center], size_cap - 1)
+    if len(members) > cfg.iva_cap:
+        sampled = rng.sample([e for e in members if e != center], cfg.iva_cap - 1)
         members = sorted(sampled + [center])
     left = relationless_adjacency(g, members)
     n = len(members)
@@ -173,10 +147,10 @@ def make_iva_example(
             # upper triangle): mirror the corrupted upper half down
             values = np.triu(values) + np.triu(values, 1).T
         else:
-            values = _resample_values(left.values, rng, corruption_rate)
+            values = _resample_values(left.values, rng, cfg.corruption_rate)
         if np.array_equal(values, left.values):
             continue
-        if n <= verify_limit and permutation_equivalent(left.values, values):
+        if n <= VERIFY_LIMIT and permutation_equivalent(left.values, values):
             mode = "value_resample"
             continue
         return IvaExample(

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .adjacency import make_iva_example, upper_triangle
+from .adjacency import make_iva_example
 from .graph import KnowledgeGraph
 from .ingest import TASK_TOKENS, Vocabulary
 from .neighborhood import NeighborhoodIndex
@@ -123,10 +123,12 @@ def _gen_ball_chunk(
 
 
 def _flatten_tokens(vocab: Vocabulary, cfg: GenerationConfig, matrix) -> tuple[list[int], bool]:
-    """Tokens of :func:`flatten_adjacency`: entity tokens, then one value
-    token per upper-triangle cell, clamped at ``value_ceiling``. Also
-    returns whether any cell was clamped."""
-    upper = upper_triangle(matrix.values)
+    """The tokens of an n-entity matrix: its n entity tokens in column
+    order, then one value token per cell (i, j) with i <= j, row-major
+    with the diagonal, n + n(n+1)/2 tokens in all. Cell value v is token
+    ``value_base + min(v, value_ceiling)``. Also returns whether any cell
+    was clamped."""
+    upper = matrix.values[np.triu_indices(len(matrix.entities))]
     tokens = [vocab.entity_token(int(e)) for e in matrix.entities]
     tokens.extend((np.minimum(upper, cfg.value_ceiling) + vocab.value_base).tolist())
     return tokens, bool((upper > cfg.value_ceiling).any())
@@ -139,9 +141,7 @@ def _gen_iva_chunk(
     for center, negative in items:
         rng = random.Random(f"{cfg.seed}:iva:{center}")
         # no SkipExample: every center has a neighbour and hops >= 1
-        ex = make_iva_example(
-            g, center, cfg.hops, rng, negative, size_cap=cfg.iva_cap, corruption_rate=cfg.corruption_rate
-        )
+        ex = make_iva_example(g, center, cfg, rng, negative)
         left, cl1 = _flatten_tokens(vocab, cfg, ex.left)
         right, cl2 = _flatten_tokens(vocab, cfg, ex.right)
         tokens = [vocab.special_token("[IVA]")] + left + [vocab.special_token("[SEP]")] + right
@@ -174,15 +174,14 @@ def _chunk_fn(g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig, task:
         return partial(_gen_iva_chunk, g, vocab, cfg)
     if task in ("khn", "lcc"):
         return partial(_gen_ball_chunk, vocab, cfg, task, NeighborhoodIndex(g, cfg.hops))
-    pcfg = cfg.path_config()
     if task == "sp":
 
         def search(fact_index: int, e_i: int, e_j: int) -> list[tuple[int, ...]]:
-            return shortest_relational_paths(g, e_i, e_j, pcfg, exclude_fact=fact_index)
+            return shortest_relational_paths(g, e_i, e_j, cfg, exclude_fact=fact_index)
 
     else:
         ip_cache: dict = {}
-        tries = [CandidateTrie(information_gain_paths(g, r, pcfg, ip_cache)) for r in range(g.num_relations)]
+        tries = [CandidateTrie(information_gain_paths(g, r, cfg, ip_cache)) for r in range(g.num_relations)]
 
         def search(fact_index: int, e_i: int, e_j: int) -> list[tuple[int, ...]]:
             return ground_paths(g, e_i, e_j, tries[g.facts[fact_index].relation], exclude_fact=fact_index)

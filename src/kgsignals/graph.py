@@ -153,19 +153,10 @@ class KnowledgeGraph:
         self._check_relation(r)
         return self._entities_of_relation[r]
 
-    def relations_of_entity(self, e: int) -> frozenset[int]:
-        """All relations of facts containing entity ``e``."""
-        self._check_entity(e)
-        return self._relations_of_entity[e]
-
     def facts_of_entity(self, e: int) -> tuple[int, ...]:
         """Indices into ``facts`` of facts containing ``e``, ascending."""
         self._check_entity(e)
         return self._facts_of_entity[e]
-
-    def facts_of_relation(self, r: int) -> tuple[int, ...]:
-        self._check_relation(r)
-        return self._facts_of_relation[r]
 
     def fact_entity_set(self, fact_index: int) -> frozenset[int]:
         return self._fact_entity_sets[fact_index]

@@ -110,26 +110,6 @@ class Vocabulary:
     def value_base(self) -> int:
         return self.num_specials + self.num_entities + self.num_relations
 
-    def value_token(self, v: int, ceiling: int) -> tuple[int, bool]:
-        """Token id for an integer count; clamped at ``ceiling``.
-
-        Returns (token, clamped_flag).
-        """
-        clamped = v > ceiling
-        return self.value_base + min(v, ceiling), clamped
-
-    def entity_of_token(self, tok: int) -> int:
-        e = tok - self.num_specials
-        if not 0 <= e < self.num_entities:
-            raise ValueError(f"token {tok} is not an entity token")
-        return e
-
-    def relation_of_token(self, tok: int) -> int:
-        r = tok - self.num_specials - self.num_entities
-        if not 0 <= r < self.num_relations:
-            raise ValueError(f"token {tok} is not a relation token")
-        return r
-
     # -- persistence ---------------------------------------------------
 
     def save(self, path: str | Path) -> None:

@@ -10,6 +10,9 @@ joining two query entities. Two generators are provided:
   highest-entropy relations incident to the query relation, extended at
   each hop by the lowest-conditional-entropy incident relations.
 
+Both read their bounds (``max_hops``, ``sp_cap``, ``beam_k``) from the
+run's :class:`~kgsignals.records.GenerationConfig`.
+
 Entropy is computed in nats; only relative order matters for the top-k
 and bottom-k selections, which is base-invariant.
 """
@@ -17,27 +20,19 @@ and bottom-k selections, which is base-invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
+from typing import TYPE_CHECKING
 
 from .graph import KnowledgeGraph
+
+if TYPE_CHECKING:
+    from .records import GenerationConfig
 
 RelationalPath = tuple[int, ...]
 
 
 class UndefinedEntropyError(Exception):
     """Conditional entropy is undefined when the first relation has no entities."""
-
-
-@dataclass(frozen=True)
-class PathSearchConfig:
-    beam_k: int = 4
-    max_hops: int = 4
-    sp_cap: int = 16
-
-    def __post_init__(self) -> None:
-        if self.beam_k < 1 or self.max_hops < 1 or self.sp_cap < 1:
-            raise ValueError("beam_k, max_hops and sp_cap must be >= 1")
 
 
 def _xlogx(p: float) -> float:
@@ -73,18 +68,8 @@ def conditional_entropy(g: KnowledgeGraph, r_prev: int, r_next: int) -> float:
     return -(len(ep) / g.num_entities) * (_xlogx(u) + _xlogx(v))
 
 
-def path_information_gain(g: KnowledgeGraph, path: RelationalPath) -> float:
-    """H(last relation) minus the sum of consecutive conditional entropies."""
-    if not path:
-        raise ValueError("empty relational path")
-    ig = relation_entropy(g, path[-1])
-    for i in range(len(path) - 1):
-        ig -= conditional_entropy(g, path[i], path[i + 1])
-    return ig
-
-
 def information_gain_paths(
-    g: KnowledgeGraph, r: int, cfg: PathSearchConfig, cache: dict[int, list[int]] | None = None
+    g: KnowledgeGraph, r: int, cfg: GenerationConfig, cache: dict[int, list[int]] | None = None
 ) -> list[RelationalPath]:
     """Beam-grown relational paths for query relation ``r``.
 
@@ -277,7 +262,7 @@ def shortest_relational_paths(
     g: KnowledgeGraph,
     e_i: int,
     e_j: int,
-    cfg: PathSearchConfig,
+    cfg: GenerationConfig,
     exclude_fact: int | None = None,
 ) -> list[RelationalPath]:
     """Distinct relation sequences of all minimum-hop walks e_i -> e_j.

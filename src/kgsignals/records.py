@@ -36,12 +36,8 @@ from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence, Sized
 from dataclasses import dataclass, fields, asdict
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .ingest import SPECIAL_TOKENS, TASK_TOKENS, read_lines
-
-if TYPE_CHECKING:
-    from .paths import PathSearchConfig
 
 FORMAT_NAME = "kgsignals-corpus"
 FORMAT_VERSION = 1
@@ -96,11 +92,6 @@ class GenerationConfig:
             raise ValueError(f"corruption_rate must be in [0, 1], got {self.corruption_rate}")
         if self.value_ceiling < 0:
             raise ValueError(f"value_ceiling must be >= 0, got {self.value_ceiling}")
-
-    def path_config(self) -> PathSearchConfig:
-        from .paths import PathSearchConfig  # generation code, which the format does not load
-
-        return PathSearchConfig(beam_k=self.beam_k, max_hops=self.max_hops, sp_cap=self.sp_cap)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -407,7 +398,9 @@ def check_record(path: str | Path, label: object, bounds: RecordBounds, r: TaskR
 def check_totals(path: str | Path, header: dict, counts: dict[str, int]) -> None:
     """The totals part of the contract: the header counts are the actual
     per-task ``counts`` and, with ``alpha``, the task weights are floats,
-    never bools or ints, that sum to 1."""
+    never bools or ints, one for each task with records, and each is its
+    task's share of the records, ``counts[t] / sum(counts)``: the float
+    that :func:`mix_multitask` writes."""
     if header.get("counts") != counts:
         raise CorpusInvariantError(f"{path}: header counts {header.get('counts')} != actual {counts}")
     alpha = header.get("alpha")
@@ -417,9 +410,10 @@ def check_totals(path: str | Path, header: dict, counts: dict[str, int]) -> None
         for task, a in alpha.items():
             if type(a) is not float:
                 raise CorpusInvariantError(f"{path}: malformed header: task weight {task} is {a!r}, not a float")
-        total = sum(alpha.values())
-        if not abs(total - 1.0) <= 1e-12:  # true for NaN
-            raise CorpusInvariantError(f"{path}: task weights sum to {total}")
+        total = sum(counts.values())
+        shares = {t: n / total for t, n in counts.items()}
+        if not alpha or alpha != shares:  # NaN equals no share
+            raise CorpusInvariantError(f"{path}: task weights {alpha} are not the tasks' record shares {shares}")
 
 
 def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> None:

@@ -43,10 +43,6 @@ def scan_entities_of_relation(facts: list[Fact], r: int) -> set[int]:
     return {e for f in facts if f.relation == r for e in f.entities}
 
 
-def scan_relations_of_entity(facts: list[Fact], e: int) -> set[int]:
-    return {f.relation for f in facts if e in f.entities}
-
-
 def scan_neighbors(facts: list[Fact], e: int) -> set[int]:
     out: set[int] = set()
     for f in facts:
@@ -187,6 +183,39 @@ def permutation_oracle(a: list[list[int]], b: list[list[int]]) -> bool:
         all(a[p[i]][p[j]] == b[i][j] for i in range(n) for j in range(n))
         for p in permutations(range(n))
     )
+
+
+# -- matrix flattening -------------------------------------------------
+
+
+def flatten_cells(entities: list[int], values: list[list[int]]) -> list[int]:
+    """Entity ids in column order, then the cells (i, j) with i <= j,
+    row-major with the diagonal: n + n(n+1)/2 items."""
+    n = len(entities)
+    out = list(entities)
+    for i in range(n):
+        for j in range(i, n):
+            out.append(values[i][j])
+    return out
+
+
+def unflatten_cells(seq: list[int], n: int) -> tuple[list[int], list[list[int]]]:
+    """Inverse of :func:`flatten_cells` for n entities: the entity ids and
+    the symmetric matrix."""
+    if len(seq) != n + n * (n + 1) // 2:
+        raise ValueError("flattened sequence has wrong length")
+    values = [[0] * n for _ in range(n)]
+    rest = iter(seq[n:])
+    for i in range(n):
+        for j in range(i, n):
+            values[i][j] = values[j][i] = next(rest)
+    return list(seq[:n]), values
+
+
+def token_cells(tokens: list[int], n: int, entity_base: int, value_base: int) -> list[int]:
+    """The tokens of an n-entity matrix less their offsets: the entity ids,
+    then the cell values, in the order of :func:`flatten_cells`."""
+    return [t - entity_base for t in tokens[:n]] + [t - value_base for t in tokens[n:]]
 
 
 # -- path grounding ----------------------------------------------------

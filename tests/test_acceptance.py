@@ -12,31 +12,23 @@ import time
 from pathlib import Path
 
 import mpmath
-import numpy as np
 import pytest
 
-from kgsignals.adjacency import (
-    SkipExample,
-    flatten_adjacency,
-    make_iva_example,
-    permutation_equivalent,
-    relationless_adjacency,
-    unflatten_adjacency,
-)
+from kgsignals.adjacency import SkipExample, make_iva_example, permutation_equivalent, relationless_adjacency
 from kgsignals.cli import main
-from kgsignals.records import read_corpus
+from kgsignals.corpus import _flatten_tokens
+from kgsignals.records import GenerationConfig, read_corpus
 from kgsignals.graph import Fact, build_index
 from kgsignals.ingest import SPECIAL_TOKENS, Vocabulary, compute_stats, parse_hypergraph, parse_triples
 from kgsignals.neighborhood import EmptyNeighborhoodError, NeighborhoodIndex, khop_entities
 from kgsignals.paths import (
-    PathSearchConfig,
     conditional_entropy,
     information_gain_paths,
     relation_entropy,
     shortest_relational_paths,
 )
 
-from oracles import bfs_ball, ip_oracle, lcc_oracle, random_graph, sp_oracle
+from oracles import bfs_ball, ip_oracle, lcc_oracle, random_graph, sp_oracle, token_cells, unflatten_cells
 
 
 def sets_graph(n_ent, sets):
@@ -52,7 +44,7 @@ def sets_graph(n_ent, sets):
 
 
 def test_shortest_paths_match_exhaustive_oracle_on_200_graphs():
-    cfg = PathSearchConfig()
+    cfg = GenerationConfig(seed=0)
     t0 = time.monotonic()
     for seed in range(200):
         rng = random.Random(seed)
@@ -80,7 +72,7 @@ def test_information_gain_paths_match_enumeration_on_100_graphs():
         r = rng.randrange(n_rel)
         for k in (1, 2, 3):
             for hops in (1, 2, 3, 4):
-                cfg = PathSearchConfig(beam_k=k, max_hops=hops)
+                cfg = GenerationConfig(seed=0, beam_k=k, max_hops=hops)
                 got = information_gain_paths(g, r, cfg)
                 want = ip_oracle(facts, n_ent, n_rel, r, k, hops)
                 assert got == want, f"seed={seed} r={r} k={k} l={hops}"
@@ -155,6 +147,7 @@ def test_neighborhoods_match_oracles_on_200_graphs():
 
 
 def test_iva_examples_sound_on_1000_small_matrices():
+    cfg = GenerationConfig(seed=0, hops=2)
     checked = 0
     pos = neg = 0
     seed = 0
@@ -166,19 +159,22 @@ def test_iva_examples_sound_on_1000_small_matrices():
             max_relations=3, max_facts=14, max_arity=3,
         )
         g = build_index(facts, n_ent, n_rel)
+        vocab = Vocabulary(entities={f"e{i}": i for i in range(n_ent)}, relations={f"r{i}": i for i in range(n_rel)})
         for center in range(n_ent):
             negative = (seed + center) % 2 == 1
             try:
-                ex = make_iva_example(g, center, 2, random.Random(seed * 101 + center), negative)
+                ex = make_iva_example(g, center, cfg, random.Random(seed * 101 + center), negative)
             except SkipExample:
                 continue
             if len(ex.left.entities) > 8:
                 continue
-            # flatten/unflatten must round-trip both sides exactly
+            # the record tokens of both sides give back each matrix exactly
             for m in (ex.left, ex.right):
-                back = unflatten_adjacency(flatten_adjacency(m), len(m.entities))
-                assert back.entities == m.entities
-                assert np.array_equal(back.values, m.values)
+                n = len(m.entities)
+                tokens, clamped = _flatten_tokens(vocab, cfg, m)
+                entities, values = unflatten_cells(token_cells(tokens, n, vocab.num_specials, vocab.value_base), n)
+                assert not clamped and tuple(entities) == m.entities
+                assert values == m.values.tolist()
             equiv = permutation_equivalent(ex.left.values, ex.right.values)
             if negative:
                 assert ex.label == 0 and not equiv, f"seed={seed} center={center}"
@@ -202,7 +198,9 @@ def test_iva_examples_sound_on_1000_small_matrices():
     g = build_index(facts, 3, 1)
     a = relationless_adjacency(g, [0, 1, 2])
     assert a.values.tolist() == [[1, 2, 1], [2, 0, 3], [1, 3, 1]]
-    assert flatten_adjacency(a) == [0, 1, 2, 1, 2, 1, 0, 3, 1]
+    vocab = Vocabulary(entities={"e1": 0, "e2": 1, "e3": 2}, relations={"r": 0})
+    tokens, _ = _flatten_tokens(vocab, cfg, a)
+    assert token_cells(tokens, 3, vocab.num_specials, vocab.value_base) == [0, 1, 2, 1, 2, 1, 0, 3, 1]
 
 
 @pytest.fixture(scope="module")

@@ -9,16 +9,23 @@ from kgsignals.adjacency import (
     SkipExample,
     _resample_values,
     _row_signatures,
-    flatten_adjacency,
     make_iva_example,
     permutation_equivalent,
     relationless_adjacency,
-    unflatten_adjacency,
 )
+from kgsignals.corpus import _flatten_tokens
 from kgsignals.graph import Fact, build_index, cooccurrence_arrays
 from kgsignals.ingest import Vocabulary, compute_stats
+from kgsignals.records import GenerationConfig
 
-from oracles import avg_degree_oracle, dense_adjacency, permutation_oracle, random_graph
+from oracles import (
+    avg_degree_oracle,
+    dense_adjacency,
+    permutation_oracle,
+    random_graph,
+    token_cells,
+    unflatten_cells,
+)
 
 
 class TestRelationlessAdjacency:
@@ -102,40 +109,44 @@ class TestRelationlessAdjacency:
 
 
 class TestFlatten:
+    """The token layout of a matrix in an IVA record, read back as entity
+    ids and cell values."""
+
+    VOCAB = Vocabulary(entities={f"e{i}": i for i in range(20)}, relations={"r": 0})
+
+    def cells(self, a, ceiling=64):
+        tokens, _ = _flatten_tokens(self.VOCAB, GenerationConfig(seed=0, value_ceiling=ceiling), a)
+        return token_cells(tokens, len(a.entities), self.VOCAB.num_specials, self.VOCAB.value_base)
+
+    def assert_round_trip(self, a):
+        n = len(a.entities)
+        # a ceiling above every count clamps no cell
+        entities, values = unflatten_cells(self.cells(a, ceiling=int(a.values.max()) + 1), n)
+        assert tuple(entities) == a.entities
+        assert values == a.values.tolist()
+
     def worked(self):
         values = np.array([[1, 2, 1], [2, 0, 3], [1, 3, 1]], dtype=np.int64)
         return AdjacencyMatrix(entities=(0, 1, 2), values=values)
 
     def test_worked_flatten(self):
-        assert flatten_adjacency(self.worked()) == [0, 1, 2, 1, 2, 1, 0, 3, 1]
+        assert self.cells(self.worked()) == [0, 1, 2, 1, 2, 1, 0, 3, 1]
 
     def test_one_by_one(self):
         a = AdjacencyMatrix(entities=(4,), values=np.zeros((1, 1), dtype=np.int64))
-        assert flatten_adjacency(a) == [4, 0]
+        assert self.cells(a) == [4, 0]
 
     def test_round_trip_4x4(self):
         rng = np.random.default_rng(5)
         v = rng.integers(0, 5, size=(4, 4))
-        v = v + v.T
-        a = AdjacencyMatrix(entities=(3, 1, 7, 2), values=v)
-        b = unflatten_adjacency(flatten_adjacency(a), 4)
-        assert b.entities == a.entities
-        assert np.array_equal(b.values, a.values)
-
-    def test_unflatten_length_check(self):
-        with pytest.raises(ValueError):
-            unflatten_adjacency([0, 1, 2], 3)
+        self.assert_round_trip(AdjacencyMatrix(entities=(3, 1, 7, 2), values=v + v.T))
 
     @given(st.integers(1, 5), st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_property(self, n, seed):
         rng = np.random.default_rng(seed)
         v = rng.integers(0, 4, size=(n, n))
-        v = v + v.T
-        a = AdjacencyMatrix(entities=tuple(range(10, 10 + n)), values=v)
-        b = unflatten_adjacency(flatten_adjacency(a), n)
-        assert b.entities == a.entities
-        assert np.array_equal(b.values, a.values)
+        self.assert_round_trip(AdjacencyMatrix(entities=tuple(range(10, 10 + n)), values=v + v.T))
 
 
 class TestPermutationEquivalent:
@@ -215,6 +226,9 @@ class TestResampleValues:
 
 
 class TestMakeIvaExample:
+    HOPS_1 = GenerationConfig(seed=0, hops=1)
+    HOPS_2 = GenerationConfig(seed=0, hops=2)
+
     def small_graph(self, seed=0):
         rng = random.Random(seed)
         facts, n_ent, n_rel = random_graph(rng, max_entities=8, max_relations=3, max_facts=20)
@@ -223,11 +237,11 @@ class TestMakeIvaExample:
     def test_isolated_center_skips(self):
         g = build_index([Fact(0, (0, 1))], 3, 1)
         with pytest.raises(SkipExample):
-            make_iva_example(g, 2, 1, random.Random(0), negative=False)
+            make_iva_example(g, 2, self.HOPS_1, random.Random(0), negative=False)
 
     def test_positive_degree_sequence(self):
         g, n_ent = self.small_graph(3)
-        ex = make_iva_example(g, 0, 2, random.Random(1), negative=False)
+        ex = make_iva_example(g, 0, self.HOPS_2, random.Random(1), negative=False)
         assert ex.label == 1
         assert sorted(ex.left.values.sum(axis=1)) == sorted(ex.right.values.sum(axis=1))
         assert sorted(ex.left.entities) == sorted(ex.right.entities)
@@ -240,7 +254,7 @@ class TestMakeIvaExample:
             center = rng.randrange(n_ent)
             negative = seed % 2 == 1
             try:
-                ex = make_iva_example(g, center, 2, rng, negative=negative)
+                ex = make_iva_example(g, center, self.HOPS_2, rng, negative=negative)
             except SkipExample:
                 continue
             if len(ex.left.entities) > 8:
@@ -259,7 +273,7 @@ class TestMakeIvaExample:
         for s in range(20):
             rng = random.Random(s)
             try:
-                ex = make_iva_example(g, 0, 2, rng, negative=True)
+                ex = make_iva_example(g, 0, self.HOPS_2, rng, negative=True)
             except SkipExample:
                 continue
             assert not np.array_equal(ex.left.values, ex.right.values)
@@ -267,7 +281,7 @@ class TestMakeIvaExample:
     def test_zero_matrix_negative_still_differs(self):
         # two entities joined only through the center: off-center cells stay 0
         g = build_index([Fact(0, (0, 1)), Fact(0, (0, 2))], 3, 1)
-        ex = make_iva_example(g, 0, 1, random.Random(9), negative=True)
+        ex = make_iva_example(g, 0, self.HOPS_1, random.Random(9), negative=True)
         assert ex.label == 0
         assert not np.array_equal(ex.left.values, ex.right.values)
         assert not permutation_equivalent(ex.left.values, ex.right.values)
@@ -275,7 +289,7 @@ class TestMakeIvaExample:
     def test_size_cap(self):
         facts = [Fact(0, (0, i)) for i in range(1, 40)]
         g = build_index(facts, 40, 1)
-        ex = make_iva_example(g, 0, 1, random.Random(2), negative=False, size_cap=10)
+        ex = make_iva_example(g, 0, GenerationConfig(seed=0, hops=1, iva_cap=10), random.Random(2), negative=False)
         assert len(ex.left.entities) == 10
         assert 0 in ex.left.entities
 
@@ -283,9 +297,9 @@ class TestMakeIvaExample:
         g, n_ent = self.small_graph(6)
 
         def build():
-            return make_iva_example(g, 0, 2, random.Random("fixed"), negative=True)
+            return make_iva_example(g, 0, self.HOPS_2, random.Random("fixed"), negative=True)
 
         a, b = build(), build()
         assert np.array_equal(a.right.values, b.right.values)
         assert a.mode == b.mode
-        assert flatten_adjacency(a.right) == flatten_adjacency(b.right)
+        assert a.right.entities == b.right.entities

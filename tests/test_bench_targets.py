@@ -60,7 +60,7 @@ def test_hooks_fit_a_traced_run(tmp_path):
     # ip candidates of the fact's relation
     vocab = Vocabulary.load(data / "vocab.tsv")
     g = build_index(_read_tuples(data / "train.tuples"), vocab.num_entities, vocab.num_relations)
-    pcfg = GenerationConfig(seed=1).path_config()
+    pcfg = GenerationConfig(seed=1)
     offered = sum(
         f.arity * (f.arity - 1) * len(set(information_gain_paths(g, f.relation, pcfg)))
         for f in g.facts

@@ -11,7 +11,7 @@ import pytest
 import kgsignals
 from kgsignals import corpus as corpus_mod
 from kgsignals.cli import main
-from kgsignals.records import TaskRecord, read_corpus
+from kgsignals.records import TASKS, TaskRecord, read_corpus
 from kgsignals.ingest import SPECIAL_TOKENS, Vocabulary
 
 TRIPLES = """\
@@ -102,17 +102,21 @@ def test_no_command_imports_scipy(dataset, ingested, tmp_path):
         ["mix", lcc, "--seed", "9", "--out", str(tmp_path / "remix.jsonl")],
         ["ingest", "--train", str(forked), "--out", str(tmp_path / "data3")],
     ]
-    # the package and the CLI import without numpy, and every command
-    # but generate runs in an interpreter where importing numpy raises
+    # the package and the CLI import without numpy, every command but
+    # generate runs in an interpreter where importing numpy raises, and
+    # none of them loads a module of the generation code
     code = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
         "import kgsignals, kgsignals.cli\n"
         "loaded = 'numpy' in sys.modules\n"
         "sys.modules['numpy'] = None\n"
-        "print(json.dumps([loaded] + [kgsignals.cli.main(argv) for argv in json.loads(sys.argv[1])]))\n"
+        "codes = [kgsignals.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "generation = [m for m in ('paths', 'corpus', 'neighborhood', 'adjacency')\n"
+        "              if 'kgsignals.' + m in sys.modules]\n"
+        "print(json.dumps([loaded, generation] + codes))\n"
     )
-    assert _run_in_fresh_interpreter(code, without_numpy) == [False] + [0] * len(without_numpy)
+    assert _run_in_fresh_interpreter(code, without_numpy) == [False, []] + [0] * len(without_numpy)
     generate = [
         ["generate", "lcc", "--data", str(ingested), "--out", str(tmp_path / "corpus2"), "--seed", "7",
          "--workers", "1"],
@@ -168,11 +172,10 @@ def test_readme_library_block_runs():
 PACKAGE_EXPORTS = [
     "Fact", "KnowledgeGraph", "build_index",
     "Vocabulary", "parse_hypergraph", "parse_triples",
-    "CandidateTrie", "PathSearchConfig", "conditional_entropy", "ground_paths", "information_gain_paths",
-    "path_information_gain", "relation_entropy", "shortest_relational_paths",
+    "CandidateTrie", "conditional_entropy", "ground_paths", "information_gain_paths", "relation_entropy",
+    "shortest_relational_paths",
     "NeighborhoodIndex", "khop_entities",
-    "AdjacencyMatrix", "IvaExample", "flatten_adjacency", "make_iva_example", "relationless_adjacency",
-    "unflatten_adjacency",
+    "AdjacencyMatrix", "IvaExample", "make_iva_example", "relationless_adjacency",
     "GenerationConfig", "MixPlan", "TaskRecord", "generate_task_records", "mix_multitask", "read_corpus",
     "write_corpus",
     "__version__",
@@ -221,14 +224,15 @@ def test_usage_errors_exit_1(dataset, ingested, tmp_path, capsys):
     assert main(["generate", "sp", "--data", str(tmp_path), "--out", str(tmp_path)]) == 1
     assert main(["ingest", "--train", str(dataset)]) == 1  # no --out, no env var
     configs = []
-    # a wrong type, not an object (two shapes), and a misspelt key
-    for i, content in enumerate(['{"hops": "3"}', "3", '["seed"]', '{"seed": 1, "hop": 2}']):
+    # a wrong type, not an object (two shapes), a misspelt key and a bound
+    files = ['{"hops": "3"}', "3", '["seed"]', '{"seed": 1, "hop": 2}', '{"seed": 1, "max_len": 0}']
+    for i, content in enumerate(files):
         cfg = tmp_path / f"cfg{i}.json"
         cfg.write_text(content)
         configs.append(["--config", str(cfg)])
     out = tmp_path / "bad_config_out"
-    for bad in (["--hops", "0"], ["--hops", "-1"], ["--iva-cap", "0"], *configs,
-                ["--workers", "-3"], ["--corruption-rate", "5"]):
+    for bad in (["--hops", "0"], ["--hops", "-1"], ["--iva-cap", "0"], ["--beam-k", "0"], ["--sp-cap", "0"],
+                ["--max-hops", "0"], *configs, ["--workers", "-3"], ["--corruption-rate", "5"]):
         capsys.readouterr()
         argv = ["generate", "all", "--data", str(ingested), "--out", str(out), "--seed", "1"]
         if "--workers" not in bad:
@@ -597,6 +601,35 @@ def _change_one_weight(tmp_path, ingested):
     return [path], f"{path}: record 0: weight 0.5 != alpha"
 
 
+def _reweight(path, alpha):
+    """Give the corpus at ``path`` the task weights ``alpha``, in its header
+    and on each of its records."""
+    header, *lines = (json.loads(line) for line in path.read_text().splitlines())
+    lines = [{**r, "weight": alpha[r["task"]]} for r in lines]
+    path.write_text("".join(json.dumps(d) + "\n" for d in [{**header, "alpha": alpha}, *lines]))
+
+
+def _alpha_of_a_task_without_records(tmp_path, ingested):
+    out = tmp_path / "c"
+    assert main(["generate", "sp", "--data", str(ingested), "--out", str(out),
+                 "--seed", "1", "--workers", "1"]) == 0
+    path = out / "sp.jsonl"
+    _reweight(path, {"sp": 0.5, "khn": 0.5})
+    return [path], f"{path}: task weights "
+
+
+def _alpha_not_the_record_shares(tmp_path, ingested):
+    out = tmp_path / "c"
+    assert main(["generate", "all", "--data", str(ingested), "--out", str(out),
+                 "--seed", "1", "--workers", "1"]) == 0
+    path = out / "all.jsonl"
+    tasks = json.loads(path.read_text().splitlines()[0])["counts"]
+    # five weights of 0.2 sum to 1 and name every task: only the shares are wrong
+    assert sorted(tasks) == sorted(TASKS)
+    _reweight(path, {t: 0.2 for t in tasks})
+    return [path], f"{path}: task weights "
+
+
 def _two_max_lens(tmp_path, ingested):
     paths = []
     for name, max_len in (("a", 1024), ("b", 3)):
@@ -624,6 +657,8 @@ def _two_hops(tmp_path, ingested):
 REFUSED = [
     pytest.param(_drop_last_record, 3, 3, id="counts_short_of_header"),
     pytest.param(_change_one_weight, 3, 3, id="weight_not_alpha"),
+    pytest.param(_alpha_of_a_task_without_records, 3, 3, id="alpha_of_a_task_without_records"),
+    pytest.param(_alpha_not_the_record_shares, 3, 3, id="alpha_not_the_record_shares"),
     pytest.param(_two_max_lens, 0, 2, id="different_max_len"),
     pytest.param(_two_hops, 0, 2, id="different_hops"),
 ]

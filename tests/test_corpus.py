@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgsignals import corpus as corpus_mod
-from kgsignals.adjacency import AdjacencyMatrix, flatten_adjacency
+from kgsignals.adjacency import AdjacencyMatrix
 from kgsignals.corpus import WorkerPool, _flatten_tokens, _khn_lcc_input, generate_task_records
 from kgsignals.graph import Fact, build_index
 from kgsignals.ingest import SPECIAL_TOKENS, TASK_TOKENS, Vocabulary
@@ -32,7 +32,7 @@ from kgsignals.records import (
     write_corpus,
 )
 
-from oracles import random_graph
+from oracles import flatten_cells, random_graph
 
 
 def make_vocab(n_ent, n_rel):
@@ -161,16 +161,12 @@ class TestGenerateLccIva:
 class TestFlattenTokens:
     @staticmethod
     def per_cell(vocab, cfg, m):
-        """The tokens cell by cell through ``Vocabulary.value_token``."""
+        """The tokens cell by cell from the loop oracle's layout."""
         n = len(m.entities)
-        flat = flatten_adjacency(m)
-        tokens = [vocab.entity_token(int(e)) for e in flat[:n]]
-        clamped = False
-        for v in flat[n:]:
-            tok, cl = vocab.value_token(int(v), cfg.value_ceiling)
-            clamped = clamped or cl
-            tokens.append(tok)
-        return tokens, clamped
+        flat = flatten_cells(list(m.entities), m.values.tolist())
+        tokens = [vocab.entity_token(e) for e in flat[:n]]
+        tokens += [vocab.value_base + min(v, cfg.value_ceiling) for v in flat[n:]]
+        return tokens, any(v > cfg.value_ceiling for v in flat[n:])
 
     @pytest.mark.parametrize("n", [1, 2, 6])
     @pytest.mark.parametrize("ceiling", [0, 3, 64])

@@ -16,7 +16,6 @@ from oracles import (
     scan_entities_of_relation,
     scan_incident_relations,
     scan_neighbors,
-    scan_relations_of_entity,
 )
 
 
@@ -31,8 +30,7 @@ def test_empty_graph():
 def test_single_tuple():
     g = build_index([Fact(0, (0, 1))], num_entities=2, num_relations=1)
     assert g.entities_of_relation(0) == {0, 1}
-    assert g.relations_of_entity(0) == {0}
-    assert g.relations_of_entity(1) == {0}
+    assert g.facts_of_entity(0) == g.facts_of_entity(1) == (0,)
 
 
 BUILDERS = pytest.mark.parametrize(
@@ -101,7 +99,6 @@ def test_matches_linear_scan_oracle(seed):
     for r in range(n_rel):
         assert g.entities_of_relation(r) == scan_entities_of_relation(facts, r)
         assert g.incident_relations(r) == scan_incident_relations(facts, n_rel, r, set())
-        assert g.facts_of_relation(r) == tuple(i for i, f in enumerate(facts) if f.relation == r)
         r_facts = [i for i, f in enumerate(facts) if f.relation == r]
         want = {}
         for i in r_facts:
@@ -113,7 +110,6 @@ def test_matches_linear_scan_oracle(seed):
             # one fact: its own entity set, not a copy
             assert (got is g.fact_entity_set(only[0])) == (len(only) == 1)
     for e in range(n_ent):
-        assert g.relations_of_entity(e) == scan_relations_of_entity(facts, e)
         assert g.neighbors(e) == scan_neighbors(facts, e)
         assert g.facts_of_entity(e) == tuple(i for i, f in enumerate(facts) if e in f.entities)
     for i, f in enumerate(facts):
@@ -126,10 +122,10 @@ def test_membership_and_symmetry_properties(seed):
     rng = random.Random(seed)
     facts, n_ent, n_rel = random_graph(rng, max_entities=15, max_relations=5, max_facts=30)
     g = build_index(facts, n_ent, n_rel)
-    for f in facts:
+    for i, f in enumerate(facts):
         for e in f.entities:
             assert e in g.entities_of_relation(f.relation)
-            assert f.relation in g.relations_of_entity(e)
+            assert i in g.facts_of_entity(e)
     for r1 in range(n_rel):
         for r2 in g.incident_relations(r1):
             assert r1 in g.incident_relations(r2)

@@ -108,10 +108,6 @@ def test_token_id_layout():
     assert v.entity_token(0) == ns
     assert v.relation_token(0) == ns + 2
     assert v.value_base == ns + 3
-    assert v.value_token(5, 64) == (v.value_base + 5, False)
-    assert v.value_token(99, 64) == (v.value_base + 64, True)
-    assert v.entity_of_token(ns + 1) == 1
-    assert v.relation_of_token(ns + 2) == 0
 
 
 def test_reemit_triples_round_trip(tmp_path):

@@ -7,19 +7,18 @@ import pytest
 from kgsignals.graph import Fact, build_index
 from kgsignals.paths import (
     CandidateTrie,
-    PathSearchConfig,
     UndefinedEntropyError,
     conditional_entropy,
     ground_paths,
     information_gain_paths,
-    path_information_gain,
     relation_entropy,
     shortest_relational_paths,
 )
+from kgsignals.records import GenerationConfig
 
 from oracles import grounding_oracle, ip_oracle, random_graph, sp_oracle
 
-CFG = PathSearchConfig()
+CFG = GenerationConfig(seed=0)
 
 
 def graph_with_entity_sets(n_ent: int, sets: list[list[int]]):
@@ -84,31 +83,6 @@ class TestConditionalEntropy:
             conditional_entropy(g, 0, 1)
 
 
-class TestPathInformationGain:
-    def test_single_relation_is_plain_entropy(self):
-        g = graph_with_entity_sets(10, [[0, 1, 2]])
-        assert path_information_gain(g, (0,)) == relation_entropy(g, 0)
-
-    def test_identical_pair_collapses(self):
-        g = graph_with_entity_sets(10, [[0, 1, 2], [0, 1, 2]])
-        assert path_information_gain(g, (0, 1)) == relation_entropy(g, 1)
-
-    def test_three_term_sum(self):
-        g = graph_with_entity_sets(10, [[0, 1, 2], [1, 2, 3, 4], [4, 5]])
-        path = (0, 1, 2)
-        expected = (
-            relation_entropy(g, 2)
-            - conditional_entropy(g, 0, 1)
-            - conditional_entropy(g, 1, 2)
-        )
-        assert path_information_gain(g, path) == pytest.approx(expected, abs=1e-15)
-
-    def test_empty_path_rejected(self):
-        g = graph_with_entity_sets(4, [[0, 1]])
-        with pytest.raises(ValueError):
-            path_information_gain(g, ())
-
-
 class TestInformationGainPaths:
     def test_single_relation_graph_empty(self):
         g = graph_with_entity_sets(5, [[0, 1, 2]])
@@ -119,7 +93,7 @@ class TestInformationGainPaths:
         facts, n_ent, n_rel = random_graph(rng, max_entities=12, max_relations=5, max_facts=40)
         g = build_index(facts, n_ent, n_rel)
         for k in (1, 2, 3):
-            cfg = PathSearchConfig(beam_k=k, max_hops=3)
+            cfg = GenerationConfig(seed=0, beam_k=k, max_hops=3)
             for r in range(n_rel):
                 paths = information_gain_paths(g, r, cfg)
                 for depth in range(1, 4):
@@ -148,7 +122,7 @@ class TestInformationGainPaths:
         )
         for r in range(5):
             for k in (1, 2, 3):
-                cfg = PathSearchConfig(beam_k=k, max_hops=3)
+                cfg = GenerationConfig(seed=0, beam_k=k, max_hops=3)
                 got = information_gain_paths(g, r, cfg)
                 want = ip_oracle(list(g.facts), 12, 5, r, k, 3)
                 assert got == want
@@ -159,7 +133,7 @@ class TestInformationGainPaths:
         facts, n_ent, n_rel = random_graph(rng, max_entities=15, max_relations=6, max_facts=40)
         g = build_index(facts, n_ent, n_rel)
         r = rng.randrange(n_rel)
-        cfg = PathSearchConfig(beam_k=rng.randint(1, 3), max_hops=rng.randint(1, 4))
+        cfg = GenerationConfig(seed=0, beam_k=rng.randint(1, 3), max_hops=rng.randint(1, 4))
         got = information_gain_paths(g, r, cfg)
         want = ip_oracle(facts, n_ent, n_rel, r, cfg.beam_k, cfg.max_hops)
         assert got == want
@@ -256,7 +230,7 @@ class TestGroundPaths:
         rng = random.Random(seed)
         facts, n_ent, n_rel = random_graph(rng, max_entities=25, max_relations=5, max_facts=30)
         g = build_index(facts, n_ent, n_rel)
-        cfg = PathSearchConfig(beam_k=rng.randint(1, 3), max_hops=rng.randint(1, 4))
+        cfg = GenerationConfig(seed=0, beam_k=rng.randint(1, 3), max_hops=rng.randint(1, 4))
         for r in range(n_rel):
             cands = ip_oracle(facts, n_ent, n_rel, r, cfg.beam_k, cfg.max_hops)
             trie = CandidateTrie(information_gain_paths(g, r, cfg))
@@ -307,7 +281,7 @@ class TestShortestRelationalPaths:
         # many parallel relations between the endpoints
         facts = [Fact(r, (0, 1)) for r in range(6)]
         g = build_index(facts, 2, 6)
-        cfg = PathSearchConfig(sp_cap=4)
+        cfg = GenerationConfig(seed=0, sp_cap=4)
         got = shortest_relational_paths(g, 0, 1, cfg)
         assert got == [(0,), (1,), (2,), (3,)]
 
