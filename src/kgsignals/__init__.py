@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "neighborhood": ("NeighborhoodIndex", "khop_entities"),
     "adjacency": ("AdjacencyMatrix", "IvaExample", "make_iva_example", "relationless_adjacency"),
-    "records": ("GenerationConfig", "MixPlan", "TaskRecord", "mix_multitask", "read_corpus", "write_corpus"),
+    "records": ("GenerationConfig", "TaskRecord", "mix_multitask", "read_corpus", "write_corpus"),
     "corpus": ("generate_task_records",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

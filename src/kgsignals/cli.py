@@ -9,20 +9,24 @@ config file (``--config``, JSON) > built-in defaults; the effective
 configuration is embedded in every corpus header.
 
 ``generate`` checks and serializes each record in the worker that built
-it and holds one task's lines at a time. With ``--workers`` > 1 it forks
-its workers once per run, at the first task of at least 64 work items,
+it and holds one task's lines at a time. ``--workers`` is capped at the
+CPUs this process may run on. With more than one worker it forks them
+once per run, at the first task of at least 64 work items,
 and ends them before it returns, on an error too; smaller tasks run in
 the main process. A task file lists its records
 in work-item order, the same at any ``--workers``: facts by index, then
 masked position, then partner position, then path; centres by id, then
-radius. ``all.jsonl`` is copied from the task files by byte offset.
-Every file is written under a temporary name and renamed into place
-only when all of them have passed the check, so a failed run writes no
-corpus. ``mix`` checks each input corpus as ``verify`` does, naming the
-input file, and refuses inputs whose vocabularies, configs (apart from
-the seed) or record bounds differ from the first input's. The mixture
-keeps the first input's config and config hash; its top-level seed is
-the mix seed.
+radius. ``all.jsonl`` is copied from the task files by byte offset, and
+``mixplan.json`` copies its header's ``counts`` (as ``sizes``), ``alpha``
+and ``seed``. Every file is written under a temporary name and renamed
+into place only when all of them have passed the check, so a failed run
+writes no corpus. ``mix`` checks each input corpus as ``verify`` does,
+naming the input file, and refuses an input whose header differs from
+the first input's in any field but those the mixture sets for itself:
+``seed``, ``config_hash``, ``counts``, ``alpha``, ``uniform_weights``
+and ``config.seed``. The mixture keeps the first input's config and
+config hash; its top-level seed is the mix seed, and ``mix`` prints its
+header's ``counts`` (as ``sizes``) and ``alpha``.
 
 Only ``generate`` loads numpy, through the generation calls of
 :mod:`kgsignals.corpus`, which it imports after parsing its arguments;
@@ -47,7 +51,6 @@ from .records import (
     CorpusInvariantError,
     EmptyCorpusError,
     GenerationConfig,
-    MixPlan,
     TASKS,
     WrittenCorpus,
     check_and_serialize,
@@ -198,16 +201,15 @@ def cmd_ingest(args) -> int:
         for name, facts in splits.items():
             _write_tuples(facts, stage(out / f"{name}.tuples"))
         stats = compute_stats(vocab, splits)
-        stage(out / "stats.json").write_text(json.dumps(stats.as_dict(), indent=2, sort_keys=True) + "\n")
+        stage(out / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
     log.info("ingested %d splits into %s", len(splits), out)
-    print(json.dumps(stats.as_dict(), sort_keys=True))
+    print(json.dumps(stats, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
     vocab, splits = _parse_splits(args)
-    stats = compute_stats(vocab, splits)
-    print(json.dumps(stats.as_dict(), sort_keys=True))
+    print(json.dumps(compute_stats(vocab, splits), sort_keys=True))
     return EXIT_OK
 
 
@@ -281,16 +283,17 @@ def _staged_writes():
         raise
 
 
-def _write_mixture(stage, path: Path, prefixes: dict, seed: int, meta: dict) -> MixPlan:
+def _write_mixture(stage, path: Path, prefixes: dict, seed: int, meta: dict) -> dict:
     """Write the mixture of the weightless ``prefixes`` of each task to
-    ``stage(path)``, each record at its task's weight. Its header is
-    ``meta`` with this seed and those weights. Raises
+    ``stage(path)``, each record at its task's weight, and return its header:
+    ``meta`` with this seed, the task counts and those weights. Raises
     :class:`EmptyCorpusError`, writing nothing, when there is no record."""
-    order, plan = mix_multitask(prefixes, seed)
-    header = corpus_header(plan.sizes, {**meta, "seed": seed, "alpha": plan.alpha, "uniform_weights": False})
-    check_totals(f"{path} (not written)", header, plan.sizes)
-    write_corpus(stage(path), header, mixture_lines(prefixes, order, plan.alpha))
-    return plan
+    order, alpha = mix_multitask(prefixes, seed)
+    counts = {t: len(prefixes[t]) for t in alpha}
+    header = corpus_header(counts, {**meta, "seed": seed, "alpha": alpha, "uniform_weights": False})
+    check_totals(f"{path} (not written)", header, counts)
+    write_corpus(stage(path), header, mixture_lines(prefixes, order, alpha))
+    return header
 
 
 def _usable_cpus() -> int:
@@ -313,7 +316,9 @@ def cmd_generate(args) -> int:
     facts = _read_tuples(train_path)
     g = build_index(facts, vocab.num_entities, vocab.num_relations)
     out = _outdir(args)
-    workers = args.workers or _usable_cpus()
+    # more workers than CPUs only add processes: the output is the same
+    cpus = _usable_cpus()
+    workers = min(args.workers or cpus, cpus)
     tasks = list(TASKS) if args.task == "all" else [args.task]
     meta = _corpus_meta(cfg, vocab)
     generation = sys.modules[__name__]  # the generation calls, as module attributes
@@ -341,63 +346,55 @@ def cmd_generate(args) -> int:
                 written[task] = opened.enter_context(closing(WrittenCorpus(tmp, offsets)))
         if args.task == "all":
             try:
-                plan = _write_mixture(stage, out / "all.jsonl", written, cfg.seed, meta)
+                header = _write_mixture(stage, out / "all.jsonl", written, cfg.seed, meta)
             except EmptyCorpusError:
                 log.warning("all tasks empty; skipping mixture")
                 return EXIT_OK
-            stage(out / "mixplan.json").write_text(
-                json.dumps({"sizes": plan.sizes, "alpha": plan.alpha, "seed": plan.seed}, sort_keys=True, indent=2)
-                + "\n"
-            )
+            plan = {"sizes": header["counts"], "alpha": header["alpha"], "seed": header["seed"]}
+            stage(out / "mixplan.json").write_text(json.dumps(plan, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
-def _config_but_seed(header: dict) -> dict:
-    return {k: v for k, v in (header.get("config") or {}).items() if k != "seed"}
+# the header fields that a mixture sets for itself
+_SET_BY_MIX = frozenset({"seed", "config_hash", "counts", "alpha", "uniform_weights"})
+
+
+def _shared_fields(header: dict) -> dict:
+    """The header fields that every input of one mixture shares: all but
+    those the mixture sets, and each config field but the seed as ``config.<name>``."""
+    # check_corpus has read the config as record_bounds does: an object, or empty
+    shared = {k: v for k, v in header.items() if k not in _SET_BY_MIX and k != "config"}
+    shared.update((f"config.{k}", v) for k, v in (header.get("config") or {}).items() if k != "seed")
+    return shared
 
 
 def cmd_mix(args) -> int:
     prefixes: dict[str, list[str]] = {}
-    meta = bounds = config = first = None
+    meta = shared = first = None
     for path in args.corpora:
         h, records = read_corpus(path)
         check_corpus(path, h, records)
-        input_bounds, input_config = record_bounds(path, h), _config_but_seed(h)
+        own = _shared_fields(h)
         if meta is None:
             # the output carries this header's config and vocabulary
-            first, bounds, config = path, input_bounds, input_config
-            meta = dict(h)
-            meta.pop("counts", None)
-        elif h.get("vocab_hash") != meta.get("vocab_hash"):
-            # token ids of different vocabularies mean different things
+            first, shared, meta = path, own, h
+        elif own != shared:
+            # the mixture's one header must describe every record; token
+            # ids of different vocabularies mean different things
+            diff = sorted((own.keys() ^ shared.keys()) | {k for k in own.keys() & shared.keys() if own[k] != shared[k]})
             raise CorpusFormatError(
-                f"{path}:1: vocab_hash {h.get('vocab_hash')} differs from "
-                f"{meta.get('vocab_hash')} of {first}; "
-                "corpora of different vocabularies cannot be mixed"
-            )
-        elif input_config != config:
-            # the output header's one config must describe every record;
-            # corpora generated with different seeds still mix
-            diff = sorted(k for k in config.keys() | input_config.keys() if config.get(k) != input_config.get(k))
-            raise CorpusFormatError(
-                f"{path}:1: config differs from that of {first} in {diff}; "
-                "corpora of different configs cannot be mixed"
-            )
-        elif input_bounds != bounds:
-            # under one config, the vocabulary sizes can still differ
-            raise CorpusFormatError(
-                f"{path}:1: {input_bounds} differs from {bounds} of {first}; "
-                "corpora of different record bounds cannot be mixed"
+                f"{path}:1: header differs from that of {first} in {diff}; "
+                "corpora of different vocabularies or configs cannot be mixed"
             )
         for r in records:
             r.weight = None
             prefixes.setdefault(r.task, []).append(weightless_prefix(r))
     try:
         with _staged_writes() as stage:
-            plan = _write_mixture(stage, Path(args.out), prefixes, args.seed, meta)
+            header = _write_mixture(stage, Path(args.out), prefixes, args.seed, meta)
     except EmptyCorpusError as exc:
         raise ParseError(str(exc)) from exc
-    print(json.dumps({"sizes": plan.sizes, "alpha": plan.alpha}, sort_keys=True))
+    print(json.dumps({"sizes": header["counts"], "alpha": header["alpha"]}, sort_keys=True))
     return EXIT_OK
 
 

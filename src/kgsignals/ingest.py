@@ -134,28 +134,31 @@ class Vocabulary:
         except (ValueError, KeyError) as exc:
             raise ParseError(f"{path}:1: bad vocabulary header: expected entities=N and relations=N") from exc
         n_special = len(SPECIAL_TOKENS)
-        rows: list[tuple[str, int]] = []
+        rows: list[tuple[str, int, int]] = []  # (token, id, line number)
         for ln, line in lines:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"{path}:{ln}: expected 'token<TAB>id'")
             try:
-                rows.append((parts[0], int(parts[1])))
+                rows.append((parts[0], int(parts[1]), ln))
             except ValueError as exc:
                 raise ParseError(f"{path}:{ln}: {exc}") from exc
         if len(rows) != n_special + n_ent + n_rel:
             raise ParseError(f"{path}: header counts disagree with body")
         rows.sort(key=lambda kv: kv[1])
-        for i, (tok, tid) in enumerate(rows):
+        for i, (_, tid, _) in enumerate(rows):
             if tid != i:
                 raise ParseError(f"{path}: non-contiguous token id {tid}")
-        if tuple(tok for tok, _ in rows[:n_special]) != SPECIAL_TOKENS:
+        if tuple(tok for tok, _, _ in rows[:n_special]) != SPECIAL_TOKENS:
             raise ParseError(f"{path}: special token block mismatch")
         vocab = cls()
-        for tok, tid in rows[n_special : n_special + n_ent]:
-            vocab.entities[tok] = tid - n_special
-        for tok, tid in rows[n_special + n_ent :]:
-            vocab.relations[tok] = tid - n_special - n_ent
+        for tok, tid, ln in rows[n_special:]:
+            # an entity and a relation may share a name; two entities or two
+            # relations may not, or the later would shift every id after it
+            is_ent = tid < n_special + n_ent
+            names, i = (vocab.entities, tid - n_special) if is_ent else (vocab.relations, tid - n_special - n_ent)
+            if names.setdefault(tok, i) != i:
+                raise ParseError(f"{path}:{ln}: {'entity' if is_ent else 'relation'} {tok!r} is listed twice")
         return vocab
 
     def hash(self) -> str:
@@ -169,26 +172,6 @@ class Vocabulary:
             h.update(b"r")
             h.update(s.encode())
         return h.hexdigest()
-
-
-@dataclass
-class DatasetStats:
-    num_entities: int
-    num_relations: int
-    split_counts: dict[str, int]
-    tuples_per_entity: float
-    avg_degree: float
-    max_arity: int
-
-    def as_dict(self) -> dict:
-        return {
-            "entities": self.num_entities,
-            "relations": self.num_relations,
-            "splits": dict(self.split_counts),
-            "tuples_per_entity": self.tuples_per_entity,
-            "avg_degree": self.avg_degree,
-            "max_arity": self.max_arity,
-        }
 
 
 def parse_triples(path: str | Path, vocab: Vocabulary) -> list[Fact]:
@@ -228,19 +211,18 @@ def parse_hypergraph(path: str | Path, vocab: Vocabulary) -> list[Fact]:
     return facts
 
 
-def compute_stats(vocab: Vocabulary, splits: dict[str, list[Fact]]) -> DatasetStats:
-    """Dataset statistics over all ingested splits.
+def compute_stats(vocab: Vocabulary, splits: dict[str, list[Fact]]) -> dict:
+    """Dataset statistics over all ingested splits, as the JSON object
+    that ``ingest`` and ``stats`` print: ``entities``, ``relations``,
+    ``splits`` (facts per split), ``tuples_per_entity``, ``avg_degree``
+    and ``max_arity``.
 
     The density column of common dataset tables has no published formula;
     tuples-per-entity and average co-occurrence degree are reported
     instead, labeled as such.
     """
     n_ent = vocab.num_entities
-    counts = {name: len(facts) for name, facts in splits.items()}
     all_facts = [f for facts in splits.values() for f in facts]
-    max_arity = max((f.arity for f in all_facts), default=2)
-    total = len(all_facts)
-    tpe = total / n_ent if n_ent else 0.0
     # average degree: distinct co-occurrence partners per entity, the
     # off-diagonal cells of the co-occurrence matrix; each unordered pair
     # {a, b} of distinct entities, keyed a*n + b with a < b, is two cells
@@ -250,12 +232,11 @@ def compute_stats(vocab: Vocabulary, splits: dict[str, list[Fact]]) -> DatasetSt
         for a, b in combinations(f.entities, 2)
         if a != b
     }
-    avg_deg = 2 * len(pairs) / n_ent if n_ent else 0.0
-    return DatasetStats(
-        num_entities=n_ent,
-        num_relations=vocab.num_relations,
-        split_counts=counts,
-        tuples_per_entity=tpe,
-        avg_degree=avg_deg,
-        max_arity=max_arity,
-    )
+    return {
+        "entities": n_ent,
+        "relations": vocab.num_relations,
+        "splits": {name: len(facts) for name, facts in splits.items()},
+        "tuples_per_entity": len(all_facts) / n_ent if n_ent else 0.0,
+        "avg_degree": 2 * len(pairs) / n_ent if n_ent else 0.0,
+        "max_arity": max((f.arity for f in all_facts), default=2),
+    }

@@ -129,16 +129,17 @@ class TaskRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "TaskRecord":
+        """The record of a corpus line, its fields unjudged: only a line that is not JSON,
+        a record or target that is not an object, or a missing key raises."""
         d = json.loads(line)
-        target = d["target"]["value"]
-        if d["target"]["kind"] == "dist":
-            target = [tuple(pair) for pair in target]
-        elif d["target"]["kind"] == "tokens":
-            target = list(target)
+        kind, target, tokens = d["target"]["kind"], d["target"]["value"], d["input"]
+        # exact-size copies: a list that json built holds spare capacity
+        if type(target) is list:
+            target = [tuple(p) if type(p) is list else p for p in target] if kind == "dist" else list(target)
         return cls(
             task=d["task"],
-            input_tokens=list(d["input"]),
-            target_kind=d["target"]["kind"],
+            input_tokens=list(tokens) if type(tokens) is list else tokens,
+            target_kind=kind,
             target=target,
             provenance=d["prov"],
             weight=d["weight"],
@@ -146,25 +147,17 @@ class TaskRecord:
         )
 
 
-@dataclass
-class MixPlan:
-    sizes: dict[str, int]
-    alpha: dict[str, float]
-    seed: int
-
-
-def mix_multitask(
-    task_lists: Mapping[str, Sized], seed: int
-) -> tuple[list[tuple[str, int]], MixPlan]:
+def mix_multitask(task_lists: Mapping[str, Sized], seed: int) -> tuple[list[tuple[str, int]], dict[str, float]]:
     """Interleave per-task records into one stream, as (task, index into
-    ``task_lists[task]``) pairs; only the list lengths are read.
+    ``task_lists[task]``) pairs, and weigh each task with records; only
+    the list lengths are read.
 
     Drawing the next record by choosing a task with probability
     proportional to its remaining records and then a uniform record
     within that task, without replacement, is exactly a uniform random
     permutation of the union; implemented as a seeded shuffle of the
-    records concatenated in sorted task order. Weights are the per-task
-    dataset-size fractions.
+    records concatenated in sorted task order. The weights ``alpha`` are
+    the per-task dataset-size fractions.
     """
     sizes = {t: len(rs) for t, rs in task_lists.items() if len(rs)}
     total = sum(sizes.values())
@@ -173,7 +166,7 @@ def mix_multitask(
     alpha = {t: n / total for t, n in sizes.items()}
     order = [(t, i) for t in sorted(sizes) for i in range(sizes[t])]
     random.Random(f"{seed}:mix").shuffle(order)  # its draws depend only on len(order)
-    return order, MixPlan(sizes=sizes, alpha=alpha, seed=seed)
+    return order, alpha
 
 
 def corpus_header(counts: dict[str, int], meta: dict) -> dict:
@@ -316,6 +309,8 @@ def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
     if type(flags) not in (list, tuple) or not _FLAGS.issuperset(flags) or len(set(flags)) < len(flags):
         return f"flags {flags!r} are not distinct names from {sorted(_FLAGS)}"
     tokens = r.input_tokens
+    if type(tokens) is not list:
+        return f"input {tokens!r} is not a list"
     if not tokens:
         return "empty input"
     first = tokens[0]
@@ -331,6 +326,8 @@ def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
         return f"input token {lo if lo < 0 else hi} outside [0, {top}]"
     if r.target_kind == "tokens":
         t = r.target
+        if type(t) is not list:
+            return f"token target {t!r} is not a list"
         for tok in t:
             if type(tok) is not int:
                 return f"token {tok!r} is not an integer"
@@ -374,7 +371,8 @@ def check_record(path: str | Path, label: object, bounds: RecordBounds, r: TaskR
     a string, and the flags are a list of distinct names from
     ``clipped`` and ``clamped``. The input starts with its task token,
     fits ``max_len``, and every input token lies in [0, relation top +
-    ``value_ceiling``], the largest value token. A token target is
+    ``value_ceiling``], the largest value token. The input and a token
+    target are lists. A token target is
     [NO_PATH] or at most ``max_hops`` distinct relation tokens and [EOS].
     A dist target is entity tokens with finite, non-negative
     probabilities summing to 1. Every token id checked here is an
@@ -388,8 +386,7 @@ def check_record(path: str | Path, label: object, bounds: RecordBounds, r: TaskR
         problem = _record_problem(bounds, r)
     except (TypeError, ValueError, OverflowError) as exc:
         # a field of the wrong shape, such as a dist target that is not
-        # a list of pairs, a scalar that is not a number or one too
-        # large for a float
+        # a list of pairs or a scalar too large for a float
         problem = f"malformed record: {exc}"
     if problem is not None:
         raise CorpusInvariantError(f"{path}: record {label}: {problem}")
@@ -423,19 +420,19 @@ def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> N
     :func:`check_totals`, and each record's weight is its task's
     ``alpha``, or 1.0 when the header has none. A bool is never a
     weight."""
-    bounds = record_bounds(path, header)
+    bounds, alpha = record_bounds(path, header), header.get("alpha")
+    # each task's weight; check_totals refuses an alpha that is not an object
+    weights = dict.fromkeys(TASKS, 1.0) if alpha is None else alpha if isinstance(alpha, dict) else {}
     counts: dict[str, int] = {}
+    wrong = None  # the first record of a wrong weight, reported once the totals pass
     for i, r in enumerate(records):
         check_record(path, i, bounds, r)
         counts[r.task] = counts.get(r.task, 0) + 1
+        if wrong is None and (r.weight != weights.get(r.task) or type(r.weight) is bool):
+            wrong = f"record {i}: weight {r.weight!r} != " + ("1.0" if alpha is None else f"alpha[{r.task}]")
     check_totals(path, header, counts)
-    alpha = header.get("alpha")
-    for i, r in enumerate(records):
-        want = 1.0 if alpha is None else alpha.get(r.task)
-        if r.weight != want or type(r.weight) is bool:
-            raise CorpusInvariantError(
-                f"{path}: record {i}: weight {r.weight!r} != " + ("1.0" if alpha is None else f"alpha[{r.task}]")
-            )
+    if wrong is not None:
+        raise CorpusInvariantError(f"{path}: {wrong}")
 
 
 def read_corpus(path: str | Path) -> tuple[dict, list[TaskRecord]]:
@@ -459,7 +456,7 @@ def read_corpus(path: str | Path) -> tuple[dict, list[TaskRecord]]:
         try:
             records.append(TaskRecord.from_json(line))
         except (ValueError, KeyError, TypeError) as exc:
-            # not JSON, a missing field, or a record or field of the wrong
-            # shape (JSONDecodeError is a ValueError)
+            # not JSON, a missing key, or a record or target that is not
+            # an object (JSONDecodeError is a ValueError)
             raise CorpusFormatError(f"{path}:{ln}: bad record: {exc}") from exc
     return header, records

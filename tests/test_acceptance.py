@@ -290,6 +290,6 @@ def test_benchmark_dataset_statistics(name):
             path = base / f"{split}.tsv"
         splits[split] = parse(path, vocab)
     stats = compute_stats(vocab, splits)
-    assert stats.num_entities == expected["entities"]
-    assert stats.num_relations == expected["relations"]
-    assert stats.split_counts == expected["splits"]
+    assert stats["entities"] == expected["entities"]
+    assert stats["relations"] == expected["relations"]
+    assert stats["splits"] == expected["splits"]

@@ -92,7 +92,7 @@ class TestRelationlessAdjacency:
         vocab = Vocabulary(
             entities={f"e{i}": i for i in range(n_ent)}, relations={f"r{i}": i for i in range(n_rel)}
         )
-        assert compute_stats(vocab, {"train": facts}).avg_degree == avg_degree_oracle(facts, n_ent)
+        assert compute_stats(vocab, {"train": facts})["avg_degree"] == avg_degree_oracle(facts, n_ent)
 
     def test_symmetry(self):
         rng = random.Random(8)

@@ -46,13 +46,20 @@ def test_ingest_outputs(ingested):
     assert stats["splits"] == {"train": 5}
 
 
-def test_stats_prints_json(dataset, capsys):
-    assert main(["stats", "--train", str(dataset)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["entities"] == 4
+def test_stats_prints_json(dataset, tmp_path, capsys):
+    assert main(["stats", "--train", str(dataset), "--valid", str(dataset)]) == 0
+    printed = capsys.readouterr().out
+    # ingest prints the same object and writes it to stats.json
+    data = tmp_path / "d"
+    assert main(["ingest", "--train", str(dataset), "--valid", str(dataset), "--out", str(data)]) == 0
+    assert capsys.readouterr().out == printed
+    assert json.loads((data / "stats.json").read_text()) == json.loads(printed) == {
+        "entities": 4, "relations": 2, "splits": {"train": 5, "valid": 5},
+        "tuples_per_entity": 2.5, "avg_degree": 2.5, "max_arity": 2,
+    }
 
 
-def test_end_to_end_generate_mix_verify(ingested, tmp_path):
+def test_end_to_end_generate_mix_verify(ingested, tmp_path, capsys):
     out = tmp_path / "corpus"
     rc = main(["generate", "all", "--data", str(ingested), "--out", str(out),
                "--seed", "7", "--workers", "1"])
@@ -63,6 +70,7 @@ def test_end_to_end_generate_mix_verify(ingested, tmp_path):
     assert abs(sum(plan["alpha"].values()) - 1.0) < 1e-12
     header, records = read_corpus(out / "all.jsonl")
     assert len(records) == sum(plan["sizes"].values())
+    assert plan == {"sizes": header["counts"], "alpha": header["alpha"], "seed": header["seed"]}
     assert main(["verify", str(out / "all.jsonl"), str(out / "sp.jsonl")]) == 0
 
     mixed = tmp_path / "remix.jsonl"
@@ -70,6 +78,16 @@ def test_end_to_end_generate_mix_verify(ingested, tmp_path):
                "--seed", "9", "--out", str(mixed)])
     assert rc == 0
     assert main(["verify", str(mixed)]) == 0
+    # a mixture mixes again, with the task corpora of its run too
+    capsys.readouterr()
+    assert main(["mix", str(out / "all.jsonl"), str(out / "sp.jsonl"), "--seed", "9", "--out", str(mixed)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert main(["verify", str(mixed)]) == 0
+    header, records = read_corpus(mixed)
+    plan["sizes"]["sp"] *= 2
+    assert printed == {"sizes": header["counts"], "alpha": header["alpha"]}
+    assert header["counts"] == plan["sizes"] and sum(plan["sizes"].values()) == len(records)
+    assert header["seed"] == 9 and header["config"]["seed"] == 7
 
 
 def _subprocess_env(**extra):
@@ -176,7 +194,7 @@ PACKAGE_EXPORTS = [
     "shortest_relational_paths",
     "NeighborhoodIndex", "khop_entities",
     "AdjacencyMatrix", "IvaExample", "make_iva_example", "relationless_adjacency",
-    "GenerationConfig", "MixPlan", "TaskRecord", "generate_task_records", "mix_multitask", "read_corpus",
+    "GenerationConfig", "TaskRecord", "generate_task_records", "mix_multitask", "read_corpus",
     "write_corpus",
     "__version__",
 ]
@@ -189,7 +207,10 @@ def test_package_re_exports_name(name):
     assert namespace[name] is getattr(kgsignals, name)
 
 
-def test_workers_zero_counts_the_cpus_this_process_may_run_on(ingested, tmp_path, monkeypatch):
+@pytest.fixture
+def workers_asked(monkeypatch):
+    """The worker count of each generate_task_records call the CLI
+    makes; every call runs with one worker, so nothing forks."""
     asked = []
     real = corpus_mod.generate_task_records
 
@@ -198,6 +219,10 @@ def test_workers_zero_counts_the_cpus_this_process_may_run_on(ingested, tmp_path
         return real(*args, workers=1, **kwargs)
 
     monkeypatch.setattr("kgsignals.cli.generate_task_records", recording)
+    return asked
+
+
+def test_workers_zero_counts_the_cpus_this_process_may_run_on(ingested, tmp_path, monkeypatch, workers_asked):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
     argv = ["generate", "lcc", "--data", str(ingested), "--seed", "7", "--workers", "0"]
@@ -205,7 +230,15 @@ def test_workers_zero_counts_the_cpus_this_process_may_run_on(ingested, tmp_path
     # without an affinity call, the machine's count
     monkeypatch.delattr(os, "sched_getaffinity")
     assert main(argv + ["--out", str(tmp_path / "b")]) == 0
-    assert asked == [1, 8]
+    assert workers_asked == [1, 8]
+
+
+def test_workers_are_capped_at_the_usable_cpus(ingested, tmp_path, monkeypatch, workers_asked):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    for workers in ("64", "2"):
+        assert main(["generate", "lcc", "--data", str(ingested), "--seed", "7", "--workers", workers,
+                     "--out", str(tmp_path / workers)]) == 0
+    assert workers_asked == [3, 2]
 
 
 def test_same_seed_byte_identical(ingested, tmp_path):
@@ -257,14 +290,19 @@ def test_data_errors_exit_2(ingested, tmp_path, capsys):
     assert f"{tuples}:2:" in capsys.readouterr().err
     assert list(out.glob("*.jsonl")) == []
     # a malformed vocabulary: a header field without "=", a count that is
-    # not an integer, a missing count, and a token id that is not an integer
+    # not an integer, a missing count, a token id that is not an integer,
+    # and an entity or a relation listed twice, which read as it stands
+    # would shift every id after it
     vocab = ingested / "vocab.tsv"
     good = vocab.read_text().splitlines()
+    assert good[11:16] == ["alice\t10", "bob\t11", "carol\t12", "dave\t13", "knows\t14"]
     for i, (line, text) in enumerate([
         (0, "#kgsignals-vocab\tentities\trelations=2"),
         (0, "#kgsignals-vocab\tentities=four\trelations=2"),
         (0, "#kgsignals-vocab\tentities=4"),
         (3, "[SEP]\ttwo"),
+        (12, "alice\t11"),
+        (16, "knows\t15"),
     ]):
         vocab.write_text("\n".join(good[:line] + [text] + good[line + 1:]) + "\n")
         out = tmp_path / f"bad_vocab_{i}"
@@ -357,7 +395,9 @@ def wide(tmp_path):
     return data
 
 
-def test_generate_all_is_byte_identical_across_worker_counts(wide, tmp_path, pools_made):
+def test_generate_all_is_byte_identical_across_worker_counts(wide, tmp_path, pools_made, monkeypatch):
+    # three usable CPUs, so that no count below is capped
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     outs = []
     for workers in (1, 2, 3):
         out = tmp_path / f"w{workers}"
@@ -447,13 +487,16 @@ def _input(i, token):
 
 
 # (corpus file, line mutated, mutation, verify exit code, mix exit code).
-# A record that is not an object or has a field of the wrong shape is a
-# data error when read. A header or record that reads but breaks the
-# record contract is an invariant violation: verify finds it, and mix
-# refuses to write the mixture. Both name the corpus that holds it.
+# A line that is not JSON, a record that is not an object or lacks a key
+# is a data error when read. A header or record that reads but breaks
+# the record contract, a field of the wrong shape included, is an
+# invariant violation: verify finds it, and mix refuses to write the
+# mixture. Both name the corpus that holds it.
 MALFORMED = [
     pytest.param("khn", 1, lambda r: [1, 2], 2, 2, id="record_not_object"),
-    pytest.param("khn", 1, _target("dist", [1]), 2, 2, id="dist_target_not_pairs"),
+    pytest.param("khn", 1, _target("dist", [1]), 3, 3, id="dist_target_not_pairs"),
+    pytest.param("khn", 1, _field("input", 5), 3, 3, id="input_not_list"),
+    pytest.param("sp", 1, _target("tokens", 5), 3, 3, id="token_target_not_list"),
     pytest.param("lcc", 1, _target("scalar", "x"), 3, 3, id="scalar_target_not_number"),
     pytest.param("khn", 1, _target("dist", [[1]]), 3, 3, id="dist_pair_too_short"),
     pytest.param("khn", 1, _target("dist", [[7, "p"]]), 3, 3, id="dist_probability_not_number"),
@@ -647,12 +690,25 @@ def _two_hops(tmp_path, ingested):
         assert main(["generate", "khn", "--data", str(ingested), "--out", str(out),
                      "--seed", "1", "--hops", hops, "--workers", "1"]) == 0
         paths.append(out / "khn.jsonl")
-    return paths, f"{paths[1]}:1: config differs from that of {paths[0]} in ['hops']"
+    return paths, f"{paths[1]}:1: header differs from that of {paths[0]} in ['config.hops']"
+
+
+def _one_more_entity(tmp_path, ingested):
+    out = tmp_path / "c"
+    assert main(["generate", "lcc", "--data", str(ingested), "--out", str(out),
+                 "--seed", "1", "--workers", "1"]) == 0
+    path, other = out / "lcc.jsonl", tmp_path / "lcc_wider.jsonl"
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    # the vocabulary hash and the config stay: only the sizes differ
+    lines[0] = json.dumps(_header("vocab_sizes", "entities", header["vocab_sizes"]["entities"] + 1)(header))
+    other.write_text("\n".join(lines) + "\n")
+    return [path, other], f"{other}:1: header differs from that of {path} in ['vocab_sizes']"
 
 
 # (inputs, verify exit code, mix exit code). verify checks each corpus
-# alone, so only mix refuses corpora whose configs (other than the seed)
-# or record bounds differ: the mixture's header could not describe all
+# alone, so only mix refuses corpora whose headers differ in a field the
+# mixture does not set for itself: its one header could not describe all
 # of their records.
 REFUSED = [
     pytest.param(_drop_last_record, 3, 3, id="counts_short_of_header"),
@@ -661,6 +717,7 @@ REFUSED = [
     pytest.param(_alpha_not_the_record_shares, 3, 3, id="alpha_not_the_record_shares"),
     pytest.param(_two_max_lens, 0, 2, id="different_max_len"),
     pytest.param(_two_hops, 0, 2, id="different_hops"),
+    pytest.param(_one_more_entity, 0, 2, id="different_vocab_sizes"),
 ]
 
 

@@ -234,19 +234,16 @@ class TestMix:
 
     def test_counts_and_alpha(self):
         lists = {"sp": self.fake_records("sp", 100), "khn": self.fake_records("khn", 300)}
-        stream, plan = mix_multitask(lists, seed=0)
+        stream, alpha = mix_multitask(lists, seed=0)
         assert len(stream) == 400
-        assert plan.sizes == {"sp": 100, "khn": 300}
-        assert plan.alpha["sp"] == pytest.approx(0.25)
-        assert plan.alpha["khn"] == pytest.approx(0.75)
-        assert abs(sum(plan.alpha.values()) - 1.0) < 1e-12
+        assert alpha == {"sp": 0.25, "khn": 0.75}
         # the stream is (task, index) pairs; a mixture line takes its
         # weight from its task
         prefixes = {t: [weightless_prefix(r) for r in rs] for t, rs in lists.items()}
-        for (t, i), line in zip(stream, mixture_lines(prefixes, stream, plan.alpha)):
+        for (t, i), line in zip(stream, mixture_lines(prefixes, stream, alpha)):
             r = TaskRecord.from_json(line)
             assert r.provenance == lists[t][i].provenance
-            assert r.weight == plan.alpha[r.task]
+            assert r.weight == alpha[r.task]
 
     def test_permutation_of_union(self):
         lists = {"sp": self.fake_records("sp", 40), "lcc": self.fake_records("lcc", 25)}
@@ -273,11 +270,12 @@ class TestMix:
         # uneven sizes, one empty task, tasks not given in sorted order
         lists = {"lcc": self.fake_records("lcc", 7), "sp": self.fake_records("sp", 3),
                  "ip": [], "khn": self.fake_records("khn", 12), "iva": self.fake_records("iva", 1)}
-        order, plan = mix_multitask(lists, seed=seed)
+        order, alpha = mix_multitask(lists, seed=seed)
         stream = [r for t in sorted(lists) for r in lists[t]]
         random.Random(f"{seed}:mix").shuffle(stream)
         assert [lists[t][i].provenance for t, i in order] == [r.provenance for r in stream]
-        assert plan.sizes == {"lcc": 7, "sp": 3, "khn": 12, "iva": 1}
+        # a weight for each task with records
+        assert alpha == {"lcc": 7 / 23, "sp": 3 / 23, "khn": 12 / 23, "iva": 1 / 23}
 
 
 def write_records(recs, path, meta):
@@ -326,13 +324,14 @@ class TestStreamedWriter:
             lines = path.read_text().splitlines()[1:]
             assert lines == [replace(r, weight=1.0).to_json() for r in recs]
             written[task] = WrittenCorpus(path, offsets)
-        order, plan = mix_multitask(written, seed=1)
+        order, alpha = mix_multitask(written, seed=1)
         # 2 of 6 records: an alpha whose repr is long
-        assert plan.alpha["sp"] == 1 / 3 and len(repr(plan.alpha["sp"])) > 15
+        assert alpha["sp"] == 1 / 3 and len(repr(alpha["sp"])) > 15
         path = tmp_path / "all.jsonl"
-        write_corpus(path, corpus_header(plan.sizes, meta), mixture_lines(written, order, plan.alpha))
+        write_corpus(path, corpus_header({t: len(written[t]) for t in alpha}, meta),
+                     mixture_lines(written, order, alpha))
         lines = path.read_text().splitlines()[1:]
-        assert lines == [replace(lists[t][i], weight=plan.alpha[t]).to_json() for t, i in order]
+        assert lines == [replace(lists[t][i], weight=alpha[t]).to_json() for t, i in order]
         for corpus in written.values():
             corpus.close()
 
