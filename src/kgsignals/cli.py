@@ -265,7 +265,8 @@ def _corpus_meta(cfg: GenerationConfig, vocab: Vocabulary) -> dict:
 def _staged_writes():
     """Yield ``stage(path)``, which names a temporary file next to
     ``path`` to write instead. On a normal exit every staged file is
-    renamed to its path; on any error none is, and all are removed."""
+    renamed to its path, and a path staged but never written is removed;
+    on any error no path changes, and every staged file is removed."""
     staged: list[tuple[Path, Path]] = []
 
     def stage(path: Path) -> Path:
@@ -276,7 +277,10 @@ def _staged_writes():
     try:
         yield stage
         for tmp, path in staged:
-            os.replace(tmp, path)
+            if tmp.exists():
+                os.replace(tmp, path)
+            else:
+                path.unlink(missing_ok=True)
     except BaseException:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
@@ -348,7 +352,9 @@ def cmd_generate(args) -> int:
             try:
                 header = _write_mixture(stage, out / "all.jsonl", written, cfg.seed, meta)
             except EmptyCorpusError:
-                log.warning("all tasks empty; skipping mixture")
+                log.warning("all tasks empty; no mixture")
+                stage(out / "all.jsonl")  # staged, never written: an earlier run's goes
+                stage(out / "mixplan.json")
                 return EXIT_OK
             plan = {"sizes": header["counts"], "alpha": header["alpha"], "seed": header["seed"]}
             stage(out / "mixplan.json").write_text(json.dumps(plan, sort_keys=True, indent=2) + "\n")
@@ -362,9 +368,9 @@ _SET_BY_MIX = frozenset({"seed", "config_hash", "counts", "alpha", "uniform_weig
 def _shared_fields(header: dict) -> dict:
     """The header fields that every input of one mixture shares: all but
     those the mixture sets, and each config field but the seed as ``config.<name>``."""
-    # check_corpus has read the config as record_bounds does: an object, or empty
+    # check_corpus has read the config as a GenerationConfig's fields
     shared = {k: v for k, v in header.items() if k not in _SET_BY_MIX and k != "config"}
-    shared.update((f"config.{k}", v) for k, v in (header.get("config") or {}).items() if k != "seed")
+    shared.update((f"config.{k}", v) for k, v in header["config"].items() if k != "seed")
     return shared
 
 

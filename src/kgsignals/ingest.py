@@ -131,8 +131,10 @@ class Vocabulary:
         try:
             header = dict(kv.split("=") for kv in first.split("\t")[1:])
             n_ent, n_rel = int(header["entities"]), int(header["relations"])
+            if min(n_ent, n_rel) < 0:
+                raise ValueError("a negative count")
         except (ValueError, KeyError) as exc:
-            raise ParseError(f"{path}:1: bad vocabulary header: expected entities=N and relations=N") from exc
+            raise ParseError(f"{path}:1: bad vocabulary header: expected entities=N and relations=N, N >= 0") from exc
         n_special = len(SPECIAL_TOKENS)
         rows: list[tuple[str, int, int]] = []  # (token, id, line number)
         for ln, line in lines:

@@ -45,6 +45,7 @@ FORMAT_VERSION = 1
 _TARGET_KINDS = {"sp": "tokens", "ip": "tokens", "khn": "dist", "iva": "label", "lcc": "scalar"}
 TASKS = tuple(_TARGET_KINDS)
 _FLAGS = frozenset({"clipped", "clamped"})
+_FIRST_ENTITY = len(SPECIAL_TOKENS)  # entity tokens follow the special tokens
 
 
 class EmptyCorpusError(Exception):
@@ -247,51 +248,37 @@ class WrittenCorpus(Sequence):
         self._map.close()
 
 
-def _header_int(section: dict, key: str, default: int) -> int:
-    value = section.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{key} must be an int, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class RecordBounds:
-    """What a corpus header allows its records: token ranges, the input
-    and path lengths, the value-token ceiling and the scalar range."""
+    """What a corpus header allows its records: its generation config and
+    the exclusive tops of the entity and the relation tokens."""
 
-    ent_lo: int
+    config: GenerationConfig
     ent_hi: int
-    rel_lo: int
     rel_hi: int
-    max_len: int
-    max_hops: int
-    value_ceiling: int
-    scalar_hi: float
-    scalar_range: str
 
 
 def record_bounds(path: str | Path, header: dict) -> RecordBounds:
-    """The bounds ``header`` sets; a malformed header raises
-    :class:`CorpusInvariantError` naming ``path``."""
+    """The bounds ``header`` sets. Its ``config`` holds every
+    :class:`GenerationConfig` field and no other key, each checked as a
+    ``--config`` file's is, and its ``vocab_sizes`` is exactly
+    ``{"specials": len(SPECIAL_TOKENS), "entities": n, "relations": m}``
+    with non-negative integer counts. Anything else raises
+    :class:`CorpusInvariantError`: ``<path>: malformed header: ...``."""
     try:
-        sizes = header.get("vocab_sizes") or {}
-        n_special = _header_int(sizes, "specials", len(SPECIAL_TOKENS))
-        n_ent = _header_int(sizes, "entities", 0)
-        n_rel = _header_int(sizes, "relations", 0)
-        cfg = header.get("config") or {}
-        max_len = _header_int(cfg, "max_len", GenerationConfig.max_len)
-        max_hops = _header_int(cfg, "max_hops", GenerationConfig.max_hops)
-        value_ceiling = _header_int(cfg, "value_ceiling", GenerationConfig.value_ceiling)
-        lcc_weighted = cfg.get("lcc_weighted", GenerationConfig.lcc_weighted)
-        if not isinstance(lcc_weighted, bool):
-            raise TypeError(f"lcc_weighted must be a bool, got {lcc_weighted!r}")
-    except (AttributeError, TypeError) as exc:
-        raise CorpusInvariantError(f"{path}: malformed header: {exc}") from exc
-    ent_hi = n_special + n_ent
-    scalar_hi, scalar_range = (math.inf, "[0, inf)") if lcc_weighted else (1.0, "[0, 1]")
-    return RecordBounds(
-        n_special, ent_hi, ent_hi, ent_hi + n_rel, max_len, max_hops, value_ceiling, scalar_hi, scalar_range
-    )
+        config = header["config"]
+        cfg = GenerationConfig(**config)
+        if cfg.as_dict().keys() != config.keys():
+            raise ValueError(f"config lacks {sorted(cfg.as_dict().keys() - config.keys())}")
+        sizes = header["vocab_sizes"]
+        if not (type(sizes) is dict and sizes.keys() == {"specials", "entities", "relations"}
+                and all(type(n) is int and n >= 0 for n in sizes.values()) and sizes["specials"] == _FIRST_ENTITY):
+            raise ValueError(f"vocab_sizes {sizes!r} are not {_FIRST_ENTITY} specials and two integer counts >= 0")
+    except (KeyError, TypeError, ValueError) as exc:
+        problem = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise CorpusInvariantError(f"{path}: malformed header: {problem}") from exc
+    ent_hi = _FIRST_ENTITY + sizes["entities"]
+    return RecordBounds(cfg, ent_hi, ent_hi + sizes["relations"])
 
 
 _NO_PATH = SPECIAL_TOKENS.index("[NO_PATH]")
@@ -299,6 +286,7 @@ _EOS = SPECIAL_TOKENS.index("[EOS]")
 
 
 def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
+    cfg = b.config
     if r.task not in TASKS:
         return f"unknown task {r.task!r}"
     if r.target_kind != _TARGET_KINDS[r.task]:
@@ -316,12 +304,12 @@ def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
     first = tokens[0]
     if type(first) is not int or first != SPECIAL_TOKENS.index(TASK_TOKENS[r.task]):
         return "input does not start with its task token"
-    if len(tokens) > b.max_len:
-        return f"input length {len(tokens)} exceeds {b.max_len}"
+    if len(tokens) > cfg.max_len:
+        return f"input length {len(tokens)} exceeds {cfg.max_len}"
     # builtins that run in C: one type pass, then min and max
     if set(map(type, tokens)) != {int}:
         return f"input token {next(t for t in tokens if type(t) is not int)!r} is not an integer"
-    lo, hi, top = min(tokens), max(tokens), b.rel_hi + b.value_ceiling  # top: the largest value token
+    lo, hi, top = min(tokens), max(tokens), b.rel_hi + cfg.value_ceiling  # top: the largest value token
     if lo < 0 or hi > top:
         return f"input token {lo if lo < 0 else hi} outside [0, {top}]"
     if r.target_kind == "tokens":
@@ -335,18 +323,18 @@ def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
             if not t or t[-1] != _EOS:
                 return "token target does not end with the end sentinel"
             body = t[:-1]
-            if len(body) > b.max_hops:
-                return f"path length {len(body)} exceeds {b.max_hops}"
+            if len(body) > cfg.max_hops:
+                return f"path length {len(body)} exceeds {cfg.max_hops}"
             if len(set(body)) != len(body):
                 return "repeated relation on path"
             for tok in body:
-                if not b.rel_lo <= tok < b.rel_hi:
+                if not b.ent_hi <= tok < b.rel_hi:
                     return f"token {tok} is not a relation token"
     elif r.target_kind == "dist":
         for tok, p in r.target:
             if not 0 <= p < math.inf:  # false for NaN
                 return f"probability {p} is not finite and >= 0"
-            if type(tok) is not int or not b.ent_lo <= tok < b.ent_hi:
+            if type(tok) is not int or not _FIRST_ENTITY <= tok < b.ent_hi:
                 return f"token {tok!r} is not an entity token"
         total = sum(p for _, p in r.target)
         if abs(total - 1.0) > 1e-9:
@@ -355,8 +343,9 @@ def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
         if type(r.target) not in (int, float):
             return f"scalar target {r.target!r} is not a number"
         value = float(r.target)
-        if not (0.0 <= value <= b.scalar_hi and math.isfinite(value)):
-            return f"scalar target {r.target} outside {b.scalar_range}"
+        scalar_hi, scalar_range = (math.inf, "[0, inf)") if cfg.lcc_weighted else (1.0, "[0, 1]")
+        if not (0.0 <= value <= scalar_hi and math.isfinite(value)):
+            return f"scalar target {r.target} outside {scalar_range}"
     elif type(r.target) is not int or r.target not in (0, 1):  # the one kind left, "label"
         return f"label target {r.target!r} is not the integer 0 or 1"
     return None
@@ -370,11 +359,11 @@ def check_record(path: str | Path, label: object, bounds: RecordBounds, r: TaskR
     for khn, ``label`` for iva and ``scalar`` for lcc. The provenance is
     a string, and the flags are a list of distinct names from
     ``clipped`` and ``clamped``. The input starts with its task token,
-    fits ``max_len``, and every input token lies in [0, relation top +
-    ``value_ceiling``], the largest value token. The input and a token
-    target are lists. A token target is
-    [NO_PATH] or at most ``max_hops`` distinct relation tokens and [EOS].
-    A dist target is entity tokens with finite, non-negative
+    fits ``bounds.config.max_len``, and every input token lies in
+    [0, ``bounds.rel_hi`` + ``config.value_ceiling``], the largest value
+    token. The input and a token target are lists. A token target is
+    [NO_PATH] or at most ``config.max_hops`` distinct relation tokens
+    and [EOS]. A dist target is entity tokens with finite, non-negative
     probabilities summing to 1. Every token id checked here is an
     integer, so ``5.0`` and ``true`` are not. A label is the integer 0
     or 1. A scalar is an int or float, not a bool, and lies in [0, 1],

@@ -290,7 +290,8 @@ def test_data_errors_exit_2(ingested, tmp_path, capsys):
     assert f"{tuples}:2:" in capsys.readouterr().err
     assert list(out.glob("*.jsonl")) == []
     # a malformed vocabulary: a header field without "=", a count that is
-    # not an integer, a missing count, a token id that is not an integer,
+    # not an integer, a missing count, a negative count, a token id that
+    # is not an integer,
     # and an entity or a relation listed twice, which read as it stands
     # would shift every id after it
     vocab = ingested / "vocab.tsv"
@@ -300,6 +301,8 @@ def test_data_errors_exit_2(ingested, tmp_path, capsys):
         (0, "#kgsignals-vocab\tentities\trelations=2"),
         (0, "#kgsignals-vocab\tentities=four\trelations=2"),
         (0, "#kgsignals-vocab\tentities=4"),
+        # read as it stands, the entity names would load as relations 1-7
+        (0, "#kgsignals-vocab\tentities=-1\trelations=7"),
         (3, "[SEP]\ttwo"),
         (12, "alice\t11"),
         (16, "knows\t15"),
@@ -454,6 +457,32 @@ def test_failed_generate_leaves_no_file(wide, tmp_path, capsys, monkeypatch, wor
     assert multiprocessing.active_children() == []
 
 
+def test_empty_generate_all_leaves_no_earlier_mixture(ingested, tmp_path, monkeypatch):
+    out, empty_train, empty = tmp_path / "o", tmp_path / "empty.tsv", tmp_path / "empty"
+    argv = ["generate", "all", "--out", str(out), "--seed", "1", "--workers", "1", "--data"]
+    assert main(argv + [str(ingested)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "all.jsonl" in before and "mixplan.json" in before
+    empty_train.write_text("")
+    assert main(["ingest", "--train", str(empty_train), "--out", str(empty)]) == 0
+    # a failed run changes nothing
+    real_write = kgsignals.cli.write_corpus
+
+    def failing_write(path, header, lines):
+        if ".lcc.jsonl." in str(path):
+            raise OSError("disk full")
+        return real_write(path, header, lines)
+
+    with monkeypatch.context() as m:
+        m.setattr("kgsignals.cli.write_corpus", failing_write)
+        assert main(argv + [str(empty)]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # a run that succeeds leaves only the files it wrote: five empty task corpora
+    assert main(argv + [str(empty)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(f"{t}.jsonl" for t in TASKS)
+    assert main(["verify", *map(str, sorted(out.iterdir()))]) == 0
+
+
 def test_corrupted_corpus_exit_3(ingested, tmp_path):
     out = tmp_path / "c"
     assert main(["generate", "sp", "--data", str(ingested), "--out", str(out),
@@ -503,6 +532,16 @@ MALFORMED = [
     pytest.param("khn", 0, _header("config", "max_len", "x"), 3, 3, id="header_max_len_not_int"),
     pytest.param("khn", 0, _header("vocab_sizes", "entities", "4"), 3, 3, id="header_vocab_size_not_int"),
     pytest.param("lcc", 0, _header("config", "lcc_weighted", "yes"), 3, 3, id="header_lcc_weighted_not_bool"),
+    # a header's config is a GenerationConfig's fields, checked as a
+    # --config file's are; vocab_sizes is the 10 specials and two counts
+    pytest.param("khn", 0, _field("config", []), 3, 3, id="header_config_list"),
+    pytest.param("khn", 0, _field("config", None), 3, 3, id="header_config_null"),
+    pytest.param("khn", 0, lambda h: {k: v for k, v in h.items() if k != "config"}, 3, 3,
+                 id="header_config_missing"),
+    pytest.param("khn", 0, _header("config", "hop", 2), 3, 3, id="header_config_unknown_key"),
+    pytest.param("khn", 0, _header("config", "max_hops", 0), 3, 3, id="header_max_hops_zero"),
+    pytest.param("khn", 0, _field("vocab_sizes", None), 3, 3, id="header_vocab_sizes_null"),
+    pytest.param("khn", 0, _header("vocab_sizes", "specials", 0), 3, 3, id="header_specials_zero"),
     # input[1] is the centre's entity token
     pytest.param("khn", 1, lambda r: _target("dist", [[r["input"][1], float("nan")]])(r), 3, 3,
                  id="dist_probability_nan"),
