@@ -22,7 +22,7 @@ _EXPORTS = {
     "neighborhood": ("NeighborhoodIndex", "khop_entities"),
     "adjacency": ("AdjacencyMatrix", "IvaExample", "make_iva_example", "relationless_adjacency"),
     "records": ("GenerationConfig", "TaskRecord", "mix_multitask", "read_corpus", "write_corpus"),
-    "corpus": ("generate_task_records",),
+    "corpus": ("WorkerPool", "generate_task_records"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

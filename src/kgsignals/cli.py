@@ -326,16 +326,14 @@ def cmd_generate(args) -> int:
     tasks = list(TASKS) if args.task == "all" else [args.task]
     meta = _corpus_meta(cfg, vocab)
     generation = sys.modules[__name__]  # the generation calls, as module attributes
-    with _staged_writes() as stage, ExitStack() as opened, closing(generation.WorkerPool(g, vocab, cfg)) as pool:
+    with _staged_writes() as stage, ExitStack() as opened, closing(generation.WorkerPool(g, cfg, workers)) as run:
         written: dict[str, WrittenCorpus] = {}
         for task in tasks:
             t0 = time.monotonic()
             path = out / f"{task}.jsonl"
             label = f"{path} (not written)"
             finish = partial(check_and_serialize, label, record_bounds(label, meta))
-            result = generation.generate_task_records(
-                g, vocab, task, cfg, workers=workers, finish=finish, pool=pool
-            )
+            result = generation.generate_task_records(run, task=task, finish=finish)
             log.info(
                 "%s: %d records (%d skipped) in %.1fs",
                 task, len(result.records), result.skipped, time.monotonic() - t0,

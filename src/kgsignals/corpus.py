@@ -1,13 +1,18 @@
 """Task record generation: the work items of each task, their records
 and the worker pool that builds them.
 
-Generation is a pure function of (graph, config, seed).
+Generation is a pure function of (graph, config, seed), and a
+:class:`WorkerPool` is one run: the graph, the config and the worker
+count. No vocabulary is read. Token ids come from the graph's counts:
+the specials in ``SPECIAL_TOKENS`` order, then one token per entity,
+then one per relation, then the cell values 0..``value_ceiling`` of IVA
+matrices, the numbering ``ingest`` writes to ``vocab.tsv``.
 :func:`generate_task_records` alone decides a task's work items, which
 centres it skips and the order of its records: the order of its items,
-the same at any worker count, since the optional worker pool chunks the
-items and joins the chunks' records in item order. Facts come by index,
-then masked position, then partner position, then path; centres come by
-id, then radius. The records, their contract and the corpus files are
+the same at any worker count, since the pool chunks the items and joins
+the chunks' records in item order. Facts come by index, then masked
+position, then partner position, then path; centres come by id, then
+radius. The records, their contract and the corpus files are
 :mod:`kgsignals.records`.
 
 Of the CLI commands only ``generate`` imports this module, on first
@@ -19,7 +24,6 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import random
-from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -27,10 +31,12 @@ import numpy as np
 
 from .adjacency import make_iva_example
 from .graph import KnowledgeGraph
-from .ingest import TASK_TOKENS, Vocabulary
+from .ingest import SPECIAL_TOKENS, TASK_TOKENS
 from .neighborhood import NeighborhoodIndex
 from .paths import CandidateTrie, ground_paths, information_gain_paths, shortest_relational_paths
-from .records import TASKS, GenerationConfig, TaskRecord
+from .records import _FIRST_ENTITY, TASKS, GenerationConfig, TaskRecord
+
+_SEP = SPECIAL_TOKENS.index("[SEP]")
 
 
 @dataclass
@@ -49,27 +55,26 @@ def _clip(tokens: list[int], cfg: GenerationConfig) -> tuple[list[int], bool]:
 
 
 def _gen_path_chunk(
-    g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig, task: str, search, items: list[tuple[int, int, int]]
+    g: KnowledgeGraph, cfg: GenerationConfig, task: str, search, items: list[tuple[int, int, int]]
 ) -> list[TaskRecord]:
     """Records of (fact index, masked position, partner position) items.
     The input names the masked entity e_i, the fact's relation and the
     partner e_j; there is one record per path that ``search(fact index,
     e_i, e_j)`` finds between them with the fact itself excluded, or one
     [NO_PATH] record."""
-    task_token = vocab.special_token(TASK_TOKENS[task])
-    eos = vocab.special_token("[EOS]")
-    no_path = vocab.special_token("[NO_PATH]")
+    task_token = SPECIAL_TOKENS.index(TASK_TOKENS[task])
+    eos, no_path = SPECIAL_TOKENS.index("[EOS]"), SPECIAL_TOKENS.index("[NO_PATH]")
+    first_relation = _FIRST_ENTITY + g.num_entities
     records: list[TaskRecord] = []
     for fact_index, masked, partner in items:
         fact = g.facts[fact_index]
         e_i, e_j = fact.entities[masked], fact.entities[partner]
         paths = search(fact_index, e_i, e_j)
         head, clipped = _clip(
-            [task_token, vocab.entity_token(e_i), vocab.relation_token(fact.relation), vocab.entity_token(e_j)],
-            cfg,
+            [task_token, _FIRST_ENTITY + e_i, first_relation + fact.relation, _FIRST_ENTITY + e_j], cfg
         )
         prov_base = f"f{fact_index:08d}:m{masked:02d}:p{partner:02d}"
-        targets = [[vocab.relation_token(r) for r in p] + [eos] for p in paths] or [[no_path]]
+        targets = [[first_relation + r for r in p] + [eos] for p in paths] or [[no_path]]
         records.extend(
             TaskRecord(
                 task=task,
@@ -84,17 +89,13 @@ def _gen_path_chunk(
     return records
 
 
-def _khn_lcc_input(
-    vocab: Vocabulary, cfg: GenerationConfig, task: str, center: int, prev_ball: np.ndarray
-) -> tuple[list[int], bool]:
-    tokens = [vocab.special_token(TASK_TOKENS[task]), vocab.entity_token(center), vocab.special_token("[SEP]")]
-    tokens.extend((prev_ball + vocab.num_specials).tolist())  # entity tokens
+def _khn_lcc_input(cfg: GenerationConfig, task: str, center: int, prev_ball: np.ndarray) -> tuple[list[int], bool]:
+    tokens = [SPECIAL_TOKENS.index(TASK_TOKENS[task]), _FIRST_ENTITY + center, _SEP]
+    tokens.extend((prev_ball + _FIRST_ENTITY).tolist())  # entity tokens
     return _clip(tokens, cfg)
 
 
-def _gen_ball_chunk(
-    vocab: Vocabulary, cfg: GenerationConfig, task: str, index: NeighborhoodIndex, centers: list[int]
-) -> list[TaskRecord]:
+def _gen_ball_chunk(cfg: GenerationConfig, task: str, index: NeighborhoodIndex, centers: list[int]) -> list[TaskRecord]:
     """One record per radius h = 1..hops of every center; its input lists
     the ball of radius h - 1. khn targets the occurrence distribution of
     the h-ball, lcc its clustering coefficient."""
@@ -104,10 +105,10 @@ def _gen_ball_chunk(
         for h in range(1, cfg.hops + 1):
             if task == "khn":
                 ents, probs = index.occurrence(e, h, weighted=cfg.occurrence_weighted)
-                kind, value = "dist", list(zip((ents + vocab.num_specials).tolist(), probs.tolist()))
+                kind, value = "dist", list(zip((ents + _FIRST_ENTITY).tolist(), probs.tolist()))
             else:
                 kind, value = "scalar", float(index.clustering(e, h, weighted=cfg.lcc_weighted))
-            tokens, clipped = _khn_lcc_input(vocab, cfg, task, e, prev_ball)
+            tokens, clipped = _khn_lcc_input(cfg, task, e, prev_ball)
             records.append(
                 TaskRecord(
                     task=task,
@@ -122,29 +123,28 @@ def _gen_ball_chunk(
     return records
 
 
-def _flatten_tokens(vocab: Vocabulary, cfg: GenerationConfig, matrix) -> tuple[list[int], bool]:
-    """The tokens of an n-entity matrix: its n entity tokens in column
-    order, then one value token per cell (i, j) with i <= j, row-major
-    with the diagonal, n + n(n+1)/2 tokens in all. Cell value v is token
-    ``value_base + min(v, value_ceiling)``. Also returns whether any cell
-    was clamped."""
+def _flatten_tokens(g: KnowledgeGraph, cfg: GenerationConfig, matrix) -> tuple[list[int], bool]:
+    """The tokens of an n-entity matrix of ``g``: its n entity tokens in
+    column order, then one value token per cell (i, j) with i <= j,
+    row-major with the diagonal, n + n(n+1)/2 tokens in all. Cell value v
+    is the token ``min(v, value_ceiling)`` places after the last relation
+    token. Also returns whether any cell was clamped."""
     upper = matrix.values[np.triu_indices(len(matrix.entities))]
-    tokens = [vocab.entity_token(int(e)) for e in matrix.entities]
-    tokens.extend((np.minimum(upper, cfg.value_ceiling) + vocab.value_base).tolist())
+    tokens = [_FIRST_ENTITY + int(e) for e in matrix.entities]
+    value_base = _FIRST_ENTITY + g.num_entities + g.num_relations
+    tokens.extend((np.minimum(upper, cfg.value_ceiling) + value_base).tolist())
     return tokens, bool((upper > cfg.value_ceiling).any())
 
 
-def _gen_iva_chunk(
-    g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig, items: list[tuple[int, bool]]
-) -> list[TaskRecord]:
+def _gen_iva_chunk(g: KnowledgeGraph, cfg: GenerationConfig, items: list[tuple[int, bool]]) -> list[TaskRecord]:
     records: list[TaskRecord] = []
     for center, negative in items:
         rng = random.Random(f"{cfg.seed}:iva:{center}")
         # no SkipExample: every center has a neighbour and hops >= 1
         ex = make_iva_example(g, center, cfg, rng, negative)
-        left, cl1 = _flatten_tokens(vocab, cfg, ex.left)
-        right, cl2 = _flatten_tokens(vocab, cfg, ex.right)
-        tokens = [vocab.special_token("[IVA]")] + left + [vocab.special_token("[SEP]")] + right
+        left, cl1 = _flatten_tokens(g, cfg, ex.left)
+        right, cl2 = _flatten_tokens(g, cfg, ex.right)
+        tokens = [SPECIAL_TOKENS.index("[IVA]")] + left + [_SEP] + right
         tokens, clipped = _clip(tokens, cfg)
         flags = tuple(
             name
@@ -164,16 +164,16 @@ def _gen_iva_chunk(
     return records
 
 
-def _chunk_fn(g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig, task: str):
+def _chunk_fn(g: KnowledgeGraph, cfg: GenerationConfig, task: str):
     """The chunk function of ``task``: it maps a list of work items to
     their records, with the task's state built once and bound. That is
     the neighbourhood index of khn and lcc, and for sp and ip the path
     search, which for ip holds one candidate trie per relation, shared
     by every fact of it."""
     if task == "iva":
-        return partial(_gen_iva_chunk, g, vocab, cfg)
+        return partial(_gen_iva_chunk, g, cfg)
     if task in ("khn", "lcc"):
-        return partial(_gen_ball_chunk, vocab, cfg, task, NeighborhoodIndex(g, cfg.hops))
+        return partial(_gen_ball_chunk, cfg, task, NeighborhoodIndex(g, cfg.hops))
     if task == "sp":
 
         def search(fact_index: int, e_i: int, e_j: int) -> list[tuple[int, ...]]:
@@ -186,7 +186,7 @@ def _chunk_fn(g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig, task:
         def search(fact_index: int, e_i: int, e_j: int) -> list[tuple[int, ...]]:
             return ground_paths(g, e_i, e_j, tries[g.facts[fact_index].relation], exclude_fact=fact_index)
 
-    return partial(_gen_path_chunk, g, vocab, cfg, task, search)
+    return partial(_gen_path_chunk, g, cfg, task, search)
 
 
 def _run_chunk(fn, finish, items: list) -> list:
@@ -194,14 +194,13 @@ def _run_chunk(fn, finish, items: list) -> list:
     return records if finish is None else finish(records)
 
 
-# set in a forked worker only: the (graph, vocabulary, config) it was
-# forked with, the last task it ran chunks of, and that task's chunk
-# function
+# set in a forked worker only: the (graph, config) it was forked with,
+# the last task it ran chunks of, and that task's chunk function
 _WORKER: dict = {}
 
 
-def _init_worker(g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig) -> None:
-    _WORKER.update(run=(g, vocab, cfg), task=None, fn=None)
+def _init_worker(g: KnowledgeGraph, cfg: GenerationConfig) -> None:
+    _WORKER.update(run=(g, cfg), task=None, fn=None)
 
 
 def _worker_run(args: tuple) -> list:
@@ -214,37 +213,40 @@ def _worker_run(args: tuple) -> list:
 
 
 class WorkerPool:
-    """One run's graph, vocabulary and config, and the forked worker
-    processes that :func:`generate_task_records` shares among its tasks.
+    """One run: its graph, its config, its worker count and, with more
+    than one worker, the forked worker processes that
+    :func:`generate_task_records` shares among the run's tasks.
 
-    The workers are forked when a task first needs them, with that
-    task's worker count, and inherit the run through the fork, so
-    nothing of the graph is pickled. Later tasks reuse them whatever
-    count they ask for, since the count never changes the output. A
-    worker builds a task's chunk function on its first chunk of that
-    task and keeps only the current task's. :meth:`close` ends the
-    workers."""
+    The workers are forked when a task first needs them and inherit the
+    graph and config through the fork, so nothing of the graph is
+    pickled. A worker builds a task's chunk function on its first chunk
+    of that task and keeps only the current task's. :meth:`close` ends
+    the workers."""
 
-    def __init__(self, g: KnowledgeGraph, vocab: Vocabulary, cfg: GenerationConfig) -> None:
-        self.run = (g, vocab, cfg)
+    def __init__(self, g: KnowledgeGraph, cfg: GenerationConfig, workers: int = 1) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.g, self.cfg, self.workers = g, cfg, workers
         self._pool = None
 
-    def records(self, task: str, finish, items: list, workers: int) -> list:
+    def records(self, task: str, finish, items: list) -> list:
         """Run ``items`` in chunks, four per worker, and join the chunks'
         records, or what ``finish`` made of them, in item order. With one
         worker, fewer than 64 items or no fork start method, the chunks
         run one after another in this process, so that only one chunk's
         records exist at a time when ``finish`` serializes them."""
-        chunk_size = max(1, math.ceil(len(items) / (max(workers, 1) * 4)))
+        chunk_size = max(1, math.ceil(len(items) / (self.workers * 4)))
         chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-        if workers > 1 and len(items) >= 64 and "fork" in mp.get_all_start_methods():
+        if self.workers > 1 and len(items) >= 64 and "fork" in mp.get_all_start_methods():
             if self._pool is None:
                 # built once here instead of once in every worker
-                self.run[0].cooccurrence_rows()
-                self._pool = mp.get_context("fork").Pool(workers, initializer=_init_worker, initargs=self.run)
+                self.g.cooccurrence_rows()
+                self._pool = mp.get_context("fork").Pool(
+                    self.workers, initializer=_init_worker, initargs=(self.g, self.cfg)
+                )
             results = self._pool.map(_worker_run, [(task, finish, c) for c in chunks])
         else:
-            fn = _chunk_fn(*self.run, task)
+            fn = _chunk_fn(self.g, self.cfg, task)
             results = [_run_chunk(fn, finish, c) for c in chunks]
         return [r for chunk in results for r in chunk]
 
@@ -254,17 +256,10 @@ class WorkerPool:
             self._pool = None
 
 
-def generate_task_records(
-    g: KnowledgeGraph,
-    vocab: Vocabulary,
-    task: str,
-    cfg: GenerationConfig,
-    workers: int = 1,
-    finish=None,
-    pool: WorkerPool | None = None,
-) -> GenerationResult:
-    """Generate all records for one task, in work-item order.
-    Deterministic under the config seed and independent of ``workers``.
+def generate_task_records(run: WorkerPool, task: str, finish=None) -> GenerationResult:
+    """Generate all records of one task of ``run``, in work-item order.
+    Deterministic under the config seed and independent of the worker
+    count.
 
     sp and ip take every (fact, masked position, partner position). khn,
     iva and lcc take every entity with a neighbour as a center, and
@@ -273,15 +268,12 @@ def generate_task_records(
     built the chunk, such as :func:`check_and_serialize`; ``records``
     then holds those items, in the same order.
 
-    With ``workers`` > 1 and the fork start method, a task of at least
-    64 items runs on the workers of ``pool``, which the tasks of one run
-    share, or without it on a pool that lasts this call. Smaller tasks
-    run in this process. ``pool`` must be made for ``g``, ``vocab`` and
-    ``cfg``."""
+    With more than one worker and the fork start method, a task of at
+    least 64 items runs on the run's workers; smaller tasks run in this
+    process."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    if pool is not None and pool.run != (g, vocab, cfg):
-        raise ValueError("the worker pool was made for another graph, vocabulary or config")
+    g = run.g
     if task in ("sp", "ip"):
         # every fact pairs each of its positions, masked, with every other
         items = [
@@ -297,5 +289,4 @@ def generate_task_records(
         centers = [e for e in range(g.num_entities) if g.neighbors(e)]
         items = [(e, i % 2 == 1) for i, e in enumerate(centers)] if task == "iva" else centers
         skipped = g.num_entities - len(centers)
-    with closing(WorkerPool(g, vocab, cfg)) if pool is None else nullcontext(pool) as pool:
-        return GenerationResult(pool.records(task, finish, items, workers), skipped)
+    return GenerationResult(run.records(task, finish, items), skipped)

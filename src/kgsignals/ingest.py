@@ -66,12 +66,14 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 @dataclass
 class Vocabulary:
-    """Bijective surface-string <-> id maps plus token-id arithmetic.
+    """Bijective surface-string <-> id maps.
 
     Internal entity and relation ids are dense and 0-based. Serialized
     token ids share one space: specials first, then entities in
-    first-seen order, then relations in first-seen order. Numeric value
-    tokens (adjacency counts) occupy a dedicated range above relations.
+    first-seen order, then relations in first-seen order, each numbered
+    by its position. The generation code derives the same ids from the
+    graph's counts, and numeric value tokens (adjacency counts) follow
+    the relations.
     """
 
     entities: dict[str, int] = field(default_factory=dict)
@@ -85,10 +87,6 @@ class Vocabulary:
     def num_relations(self) -> int:
         return len(self.relations)
 
-    @property
-    def num_specials(self) -> int:
-        return len(SPECIAL_TOKENS)
-
     def entity_id(self, s: str) -> int:
         """The id of entity ``s``; a name not seen before gets the next id."""
         return self.entities.setdefault(s, len(self.entities))
@@ -97,29 +95,13 @@ class Vocabulary:
         """The id of relation ``s``; a name not seen before gets the next id."""
         return self.relations.setdefault(s, len(self.relations))
 
-    def special_token(self, name: str) -> int:
-        return SPECIAL_TOKENS.index(name)
-
-    def entity_token(self, e: int) -> int:
-        return self.num_specials + e
-
-    def relation_token(self, r: int) -> int:
-        return self.num_specials + self.num_entities + r
-
-    @property
-    def value_base(self) -> int:
-        return self.num_specials + self.num_entities + self.num_relations
-
     # -- persistence ---------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        names = [*SPECIAL_TOKENS, *sorted(self.entities, key=self.entities.get),
+                 *sorted(self.relations, key=self.relations.get)]
         lines = [f"#kgsignals-vocab\tentities={self.num_entities}\trelations={self.num_relations}"]
-        for i, tok in enumerate(SPECIAL_TOKENS):
-            lines.append(f"{tok}\t{i}")
-        for s, e in sorted(self.entities.items(), key=lambda kv: kv[1]):
-            lines.append(f"{s}\t{self.entity_token(e)}")
-        for s, r in sorted(self.relations.items(), key=lambda kv: kv[1]):
-            lines.append(f"{s}\t{self.relation_token(r)}")
+        lines.extend(f"{s}\t{i}" for i, s in enumerate(names))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod

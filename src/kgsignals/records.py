@@ -261,7 +261,8 @@ class RecordBounds:
 def record_bounds(path: str | Path, header: dict) -> RecordBounds:
     """The bounds ``header`` sets. Its ``config`` holds every
     :class:`GenerationConfig` field and no other key, each checked as a
-    ``--config`` file's is, and its ``vocab_sizes`` is exactly
+    ``--config`` file's is, its ``config_hash`` is that config's
+    :meth:`GenerationConfig.hash`, and its ``vocab_sizes`` is exactly
     ``{"specials": len(SPECIAL_TOKENS), "entities": n, "relations": m}``
     with non-negative integer counts. Anything else raises
     :class:`CorpusInvariantError`: ``<path>: malformed header: ...``."""
@@ -270,6 +271,8 @@ def record_bounds(path: str | Path, header: dict) -> RecordBounds:
         cfg = GenerationConfig(**config)
         if cfg.as_dict().keys() != config.keys():
             raise ValueError(f"config lacks {sorted(cfg.as_dict().keys() - config.keys())}")
+        if header["config_hash"] != cfg.hash():
+            raise ValueError(f"config_hash {header['config_hash']!r} is not the hash of its config")
         sizes = header["vocab_sizes"]
         if not (type(sizes) is dict and sizes.keys() == {"specials", "entities", "relations"}
                 and all(type(n) is int and n >= 0 for n in sizes.values()) and sizes["specials"] == _FIRST_ENTITY):
@@ -293,6 +296,10 @@ def _record_problem(b: RecordBounds, r: TaskRecord) -> str | None:
         return f"{r.task} target kind {r.target_kind!r} is not {_TARGET_KINDS[r.task]!r}"
     if type(r.provenance) is not str:
         return f"provenance {r.provenance!r} is not a string"
+    if r.task in ("khn", "lcc"):
+        _, sep, radius = r.provenance.rpartition(":h")
+        if not sep or not 1 <= int(radius) <= cfg.hops:
+            return f"provenance {r.provenance!r} has no radius in [1, {cfg.hops}] after ':h'"
     flags = r.flags
     if type(flags) not in (list, tuple) or not _FLAGS.issuperset(flags) or len(set(flags)) < len(flags):
         return f"flags {flags!r} are not distinct names from {sorted(_FLAGS)}"
@@ -357,8 +364,9 @@ def check_record(path: str | Path, label: object, bounds: RecordBounds, r: TaskR
 
     The target kind is the task's: ``tokens`` for sp and ip, ``dist``
     for khn, ``label`` for iva and ``scalar`` for lcc. The provenance is
-    a string, and the flags are a list of distinct names from
-    ``clipped`` and ``clamped``. The input starts with its task token,
+    a string, and that of a khn or lcc record ends in ``:h<k>`` with the
+    radius k in [1, ``config.hops``]. The flags are a list of distinct
+    names from ``clipped`` and ``clamped``. The input starts with its task token,
     fits ``bounds.config.max_len``, and every input token lies in
     [0, ``bounds.rel_hi`` + ``config.value_ceiling``], the largest value
     token. The input and a token target are lists. A token target is
@@ -383,13 +391,19 @@ def check_record(path: str | Path, label: object, bounds: RecordBounds, r: TaskR
 
 def check_totals(path: str | Path, header: dict, counts: dict[str, int]) -> None:
     """The totals part of the contract: the header counts are the actual
-    per-task ``counts`` and, with ``alpha``, the task weights are floats,
+    per-task ``counts``, ``uniform_weights`` is whether ``alpha`` is
+    None and, with ``alpha``, the task weights are floats,
     never bools or ints, one for each task with records, and each is its
     task's share of the records, ``counts[t] / sum(counts)``: the float
     that :func:`mix_multitask` writes."""
     if header.get("counts") != counts:
         raise CorpusInvariantError(f"{path}: header counts {header.get('counts')} != actual {counts}")
     alpha = header.get("alpha")
+    if header.get("uniform_weights") is not (alpha is None):
+        raise CorpusInvariantError(
+            f"{path}: malformed header: uniform_weights {header.get('uniform_weights')!r} "
+            f"with {'no alpha' if alpha is None else 'an alpha'}; expected {alpha is None}"
+        )
     if alpha is not None:
         if not isinstance(alpha, dict):
             raise CorpusInvariantError(f"{path}: malformed header: task weights {alpha!r} are not an object")

@@ -159,7 +159,8 @@ def test_iva_examples_sound_on_1000_small_matrices():
             max_relations=3, max_facts=14, max_arity=3,
         )
         g = build_index(facts, n_ent, n_rel)
-        vocab = Vocabulary(entities={f"e{i}": i for i in range(n_ent)}, relations={f"r{i}": i for i in range(n_rel)})
+        # the first entity and the first value token
+        bases = (len(SPECIAL_TOKENS), len(SPECIAL_TOKENS) + n_ent + n_rel)
         for center in range(n_ent):
             negative = (seed + center) % 2 == 1
             try:
@@ -171,8 +172,8 @@ def test_iva_examples_sound_on_1000_small_matrices():
             # the record tokens of both sides give back each matrix exactly
             for m in (ex.left, ex.right):
                 n = len(m.entities)
-                tokens, clamped = _flatten_tokens(vocab, cfg, m)
-                entities, values = unflatten_cells(token_cells(tokens, n, vocab.num_specials, vocab.value_base), n)
+                tokens, clamped = _flatten_tokens(g, cfg, m)
+                entities, values = unflatten_cells(token_cells(tokens, n, *bases), n)
                 assert not clamped and tuple(entities) == m.entities
                 assert values == m.values.tolist()
             equiv = permutation_equivalent(ex.left.values, ex.right.values)
@@ -198,9 +199,8 @@ def test_iva_examples_sound_on_1000_small_matrices():
     g = build_index(facts, 3, 1)
     a = relationless_adjacency(g, [0, 1, 2])
     assert a.values.tolist() == [[1, 2, 1], [2, 0, 3], [1, 3, 1]]
-    vocab = Vocabulary(entities={"e1": 0, "e2": 1, "e3": 2}, relations={"r": 0})
-    tokens, _ = _flatten_tokens(vocab, cfg, a)
-    assert token_cells(tokens, 3, vocab.num_specials, vocab.value_base) == [0, 1, 2, 1, 2, 1, 0, 3, 1]
+    tokens, _ = _flatten_tokens(g, cfg, a)
+    assert token_cells(tokens, 3, len(SPECIAL_TOKENS), len(SPECIAL_TOKENS) + 4) == [0, 1, 2, 1, 2, 1, 0, 3, 1]
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from kgsignals.adjacency import (
 )
 from kgsignals.corpus import _flatten_tokens
 from kgsignals.graph import Fact, build_index, cooccurrence_arrays
-from kgsignals.ingest import Vocabulary, compute_stats
+from kgsignals.ingest import SPECIAL_TOKENS, Vocabulary, compute_stats
 from kgsignals.records import GenerationConfig
 
 from oracles import (
@@ -112,11 +112,11 @@ class TestFlatten:
     """The token layout of a matrix in an IVA record, read back as entity
     ids and cell values."""
 
-    VOCAB = Vocabulary(entities={f"e{i}": i for i in range(20)}, relations={"r": 0})
+    GRAPH = build_index([], 20, 1)
 
     def cells(self, a, ceiling=64):
-        tokens, _ = _flatten_tokens(self.VOCAB, GenerationConfig(seed=0, value_ceiling=ceiling), a)
-        return token_cells(tokens, len(a.entities), self.VOCAB.num_specials, self.VOCAB.value_base)
+        tokens, _ = _flatten_tokens(self.GRAPH, GenerationConfig(seed=0, value_ceiling=ceiling), a)
+        return token_cells(tokens, len(a.entities), len(SPECIAL_TOKENS), len(SPECIAL_TOKENS) + 21)
 
     def assert_round_trip(self, a):
         n = len(a.entities)

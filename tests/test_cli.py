@@ -11,7 +11,7 @@ import pytest
 import kgsignals
 from kgsignals import corpus as corpus_mod
 from kgsignals.cli import main
-from kgsignals.records import TASKS, TaskRecord, read_corpus
+from kgsignals.records import TASKS, GenerationConfig, TaskRecord, read_corpus
 from kgsignals.ingest import SPECIAL_TOKENS, Vocabulary
 
 TRIPLES = """\
@@ -194,7 +194,7 @@ PACKAGE_EXPORTS = [
     "shortest_relational_paths",
     "NeighborhoodIndex", "khop_entities",
     "AdjacencyMatrix", "IvaExample", "make_iva_example", "relationless_adjacency",
-    "GenerationConfig", "TaskRecord", "generate_task_records", "mix_multitask", "read_corpus",
+    "GenerationConfig", "TaskRecord", "WorkerPool", "generate_task_records", "mix_multitask", "read_corpus",
     "write_corpus",
     "__version__",
 ]
@@ -209,16 +209,15 @@ def test_package_re_exports_name(name):
 
 @pytest.fixture
 def workers_asked(monkeypatch):
-    """The worker count of each generate_task_records call the CLI
-    makes; every call runs with one worker, so nothing forks."""
+    """The worker count of each WorkerPool the CLI makes; every run goes
+    on with one worker, so nothing forks."""
     asked = []
-    real = corpus_mod.generate_task_records
 
-    def recording(*args, workers, **kwargs):
+    def recording(g, cfg, workers):
         asked.append(workers)
-        return real(*args, workers=1, **kwargs)
+        return corpus_mod.WorkerPool(g, cfg)
 
-    monkeypatch.setattr("kgsignals.cli.generate_task_records", recording)
+    monkeypatch.setattr("kgsignals.cli.WorkerPool", recording)
     return asked
 
 
@@ -239,6 +238,21 @@ def test_workers_are_capped_at_the_usable_cpus(ingested, tmp_path, monkeypatch, 
         assert main(["generate", "lcc", "--data", str(ingested), "--seed", "7", "--workers", workers,
                      "--out", str(tmp_path / workers)]) == 0
     assert workers_asked == [3, 2]
+
+
+def test_sp_inputs_name_their_fact_through_the_ingested_vocabulary(ingested, tmp_path):
+    # generation reads no vocabulary: its token ids must still be those
+    # that ingest wrote to vocab.tsv
+    out = tmp_path / "o"
+    assert main(["generate", "sp", "--data", str(ingested), "--out", str(out), "--seed", "1",
+                 "--workers", "1"]) == 0
+    names = dict(reversed(line.split("\t")) for line in (ingested / "vocab.tsv").read_text().splitlines()[1:])
+    _, records = read_corpus(out / "sp.jsonl")
+    assert records
+    for r in records:
+        i, m, p = (int(x[1:]) for x in r.provenance.split(":")[:3])
+        h, rel, t = TRIPLES.splitlines()[i].split("\t")
+        assert [names[str(tok)] for tok in r.input_tokens[:4]] == ["[SP]", (h, t)[m], rel, (h, t)[p]]
 
 
 def test_same_seed_byte_identical(ingested, tmp_path):
@@ -437,9 +451,9 @@ def test_records_come_in_item_order_past_the_provenance_widths(wide, tmp_path):
 def test_failed_generate_leaves_no_file(wide, tmp_path, capsys, monkeypatch, workers):
     real_chunk_fn = corpus_mod._chunk_fn
 
-    def chunk_fn(g, vocab, cfg, task):
+    def chunk_fn(g, cfg, task):
         if task != "ip":
-            return real_chunk_fn(g, vocab, cfg, task)
+            return real_chunk_fn(g, cfg, task)
         # an ip record whose input does not start with the [IP] token
         return lambda items: [TaskRecord("ip", [0], "tokens", [0], "f00000000:m00:p01:x0000")]
 
@@ -515,6 +529,21 @@ def _input(i, token):
     return lambda r: {**r, "input": r["input"][:i] + [token] + r["input"][i + 1:]}
 
 
+def _rehashed(mutate):
+    """``mutate``, then the header's config_hash made its new config's."""
+    def rehash(h):
+        h = mutate(h)
+        return {**h, "config_hash": GenerationConfig(**h["config"]).hash()}
+
+    return rehash
+
+
+def _case(task, line, mutate, verify_rc, mix_rc, id, named=None):
+    """A MALFORMED case; ``named`` is what its one error line names after
+    the corpus path, where that is not the line mutated."""
+    return pytest.param(task, line, mutate, verify_rc, mix_rc, named, id=id)
+
+
 # (corpus file, line mutated, mutation, verify exit code, mix exit code).
 # A line that is not JSON, a record that is not an object or lacks a key
 # is a data error when read. A header or record that reads but breaks
@@ -522,67 +551,75 @@ def _input(i, token):
 # invariant violation: verify finds it, and mix refuses to write the
 # mixture. Both name the corpus that holds it.
 MALFORMED = [
-    pytest.param("khn", 1, lambda r: [1, 2], 2, 2, id="record_not_object"),
-    pytest.param("khn", 1, _target("dist", [1]), 3, 3, id="dist_target_not_pairs"),
-    pytest.param("khn", 1, _field("input", 5), 3, 3, id="input_not_list"),
-    pytest.param("sp", 1, _target("tokens", 5), 3, 3, id="token_target_not_list"),
-    pytest.param("lcc", 1, _target("scalar", "x"), 3, 3, id="scalar_target_not_number"),
-    pytest.param("khn", 1, _target("dist", [[1]]), 3, 3, id="dist_pair_too_short"),
-    pytest.param("khn", 1, _target("dist", [[7, "p"]]), 3, 3, id="dist_probability_not_number"),
-    pytest.param("khn", 0, _header("config", "max_len", "x"), 3, 3, id="header_max_len_not_int"),
-    pytest.param("khn", 0, _header("vocab_sizes", "entities", "4"), 3, 3, id="header_vocab_size_not_int"),
-    pytest.param("lcc", 0, _header("config", "lcc_weighted", "yes"), 3, 3, id="header_lcc_weighted_not_bool"),
+    _case("khn", 1, lambda r: [1, 2], 2, 2, id="record_not_object"),
+    _case("khn", 1, _target("dist", [1]), 3, 3, id="dist_target_not_pairs"),
+    _case("khn", 1, _field("input", 5), 3, 3, id="input_not_list"),
+    _case("sp", 1, _target("tokens", 5), 3, 3, id="token_target_not_list"),
+    _case("lcc", 1, _target("scalar", "x"), 3, 3, id="scalar_target_not_number"),
+    _case("khn", 1, _target("dist", [[1]]), 3, 3, id="dist_pair_too_short"),
+    _case("khn", 1, _target("dist", [[7, "p"]]), 3, 3, id="dist_probability_not_number"),
+    _case("khn", 0, _header("config", "max_len", "x"), 3, 3, id="header_max_len_not_int"),
+    _case("khn", 0, _header("vocab_sizes", "entities", "4"), 3, 3, id="header_vocab_size_not_int"),
+    _case("lcc", 0, _header("config", "lcc_weighted", "yes"), 3, 3, id="header_lcc_weighted_not_bool"),
     # a header's config is a GenerationConfig's fields, checked as a
     # --config file's are; vocab_sizes is the 10 specials and two counts
-    pytest.param("khn", 0, _field("config", []), 3, 3, id="header_config_list"),
-    pytest.param("khn", 0, _field("config", None), 3, 3, id="header_config_null"),
-    pytest.param("khn", 0, lambda h: {k: v for k, v in h.items() if k != "config"}, 3, 3,
+    _case("khn", 0, _field("config", []), 3, 3, id="header_config_list"),
+    _case("khn", 0, _field("config", None), 3, 3, id="header_config_null"),
+    _case("khn", 0, lambda h: {k: v for k, v in h.items() if k != "config"}, 3, 3,
                  id="header_config_missing"),
-    pytest.param("khn", 0, _header("config", "hop", 2), 3, 3, id="header_config_unknown_key"),
-    pytest.param("khn", 0, _header("config", "max_hops", 0), 3, 3, id="header_max_hops_zero"),
-    pytest.param("khn", 0, _field("vocab_sizes", None), 3, 3, id="header_vocab_sizes_null"),
-    pytest.param("khn", 0, _header("vocab_sizes", "specials", 0), 3, 3, id="header_specials_zero"),
+    _case("khn", 0, _header("config", "hop", 2), 3, 3, id="header_config_unknown_key"),
+    _case("khn", 0, _header("config", "max_hops", 0), 3, 3, id="header_max_hops_zero"),
+    _case("khn", 0, _field("vocab_sizes", None), 3, 3, id="header_vocab_sizes_null"),
+    _case("khn", 0, _header("vocab_sizes", "specials", 0), 3, 3, id="header_specials_zero"),
     # input[1] is the centre's entity token
-    pytest.param("khn", 1, lambda r: _target("dist", [[r["input"][1], float("nan")]])(r), 3, 3,
+    _case("khn", 1, lambda r: _target("dist", [[r["input"][1], float("nan")]])(r), 3, 3,
                  id="dist_probability_nan"),
     # the input's relation token plus 0.5 lies inside the relation range
-    pytest.param("sp", 1, lambda r: _target("tokens", [r["input"][2] + 0.5, _EOS])(r), 3, 3,
+    _case("sp", 1, lambda r: _target("tokens", [r["input"][2] + 0.5, _EOS])(r), 3, 3,
                  id="path_token_not_int"),
-    pytest.param("sp", 1, lambda r: {**r, "input": [float(r["input"][0])] + r["input"][1:]}, 3, 3,
+    _case("sp", 1, lambda r: {**r, "input": [float(r["input"][0])] + r["input"][1:]}, 3, 3,
                  id="task_token_not_int"),
-    pytest.param("khn", 0, lambda h: {**h, "version": 2}, 2, 2, id="header_other_version"),
-    pytest.param("lcc", 1, _target("scalar", 10**400), 3, 3, id="scalar_target_too_large_for_float"),
+    _case("khn", 0, lambda h: {**h, "version": 2}, 2, 2, id="header_other_version"),
+    _case("lcc", 1, _target("scalar", 10**400), 3, 3, id="scalar_target_too_large_for_float"),
     # every input token is an int in [0, relation top + value_ceiling]
-    pytest.param("sp", 1, _input(1, "x"), 3, 3, id="input_token_not_int"),
-    pytest.param("sp", 1, _input(1, -7), 3, 3, id="input_token_negative"),
-    pytest.param("sp", 1, _input(1, 10**9), 3, 3, id="input_token_past_value_tokens"),
-    pytest.param("iva", 1, _input(1, True), 3, 3, id="input_token_bool"),
-    pytest.param("khn", 0, _header("config", "value_ceiling", "x"), 3, 3, id="header_value_ceiling_not_int"),
+    _case("sp", 1, _input(1, "x"), 3, 3, id="input_token_not_int"),
+    _case("sp", 1, _input(1, -7), 3, 3, id="input_token_negative"),
+    _case("sp", 1, _input(1, 10**9), 3, 3, id="input_token_past_value_tokens"),
+    _case("iva", 1, _input(1, True), 3, 3, id="input_token_bool"),
+    _case("khn", 0, _header("config", "value_ceiling", "x"), 3, 3, id="header_value_ceiling_not_int"),
     # each task has one target kind
-    pytest.param("lcc", 1, _target("label", 1), 3, 3, id="lcc_target_kind_label"),
-    pytest.param("sp", 1, _target("scalar", 0.5), 3, 3, id="sp_target_kind_scalar"),
-    pytest.param("lcc", 1, _target("scalar", "0.5"), 3, 3, id="scalar_target_string"),
-    pytest.param("lcc", 1, _target("scalar", True), 3, 3, id="scalar_target_bool"),
-    pytest.param("iva", 1, _target("label", True), 3, 3, id="label_target_bool"),
-    pytest.param("iva", 1, _target("label", 1.0), 3, 3, id="label_target_float"),
+    _case("lcc", 1, _target("label", 1), 3, 3, id="lcc_target_kind_label"),
+    _case("sp", 1, _target("scalar", 0.5), 3, 3, id="sp_target_kind_scalar"),
+    _case("lcc", 1, _target("scalar", "0.5"), 3, 3, id="scalar_target_string"),
+    _case("lcc", 1, _target("scalar", True), 3, 3, id="scalar_target_bool"),
+    _case("iva", 1, _target("label", True), 3, 3, id="label_target_bool"),
+    _case("iva", 1, _target("label", 1.0), 3, 3, id="label_target_float"),
     # a task corpus, whose header has no alpha, holds weight 1.0
-    pytest.param("khn", 1, _field("weight", "x"), 3, 3, id="weight_string"),
-    pytest.param("khn", 1, _field("weight", 7.5), 3, 3, id="weight_not_one"),
-    pytest.param("khn", 1, _field("weight", None), 3, 3, id="weight_null"),
-    pytest.param("khn", 1, _field("weight", True), 3, 3, id="weight_bool"),
-    pytest.param("khn", 1, _field("flags", "xy"), 3, 3, id="flags_string"),
-    pytest.param("khn", 1, _field("flags", {"clipped": 1}), 3, 3, id="flags_object"),
-    pytest.param("khn", 1, _field("flags", ["bogus"]), 3, 3, id="flags_unknown_name"),
-    pytest.param("khn", 1, _field("flags", ["clipped", "clipped"]), 3, 3, id="flags_repeated"),
-    pytest.param("khn", 1, _field("prov", 5), 3, 3, id="prov_not_string"),
+    _case("khn", 1, _field("weight", "x"), 3, 3, id="weight_string"),
+    _case("khn", 1, _field("weight", 7.5), 3, 3, id="weight_not_one"),
+    _case("khn", 1, _field("weight", None), 3, 3, id="weight_null"),
+    _case("khn", 1, _field("weight", True), 3, 3, id="weight_bool"),
+    _case("khn", 1, _field("flags", "xy"), 3, 3, id="flags_string"),
+    _case("khn", 1, _field("flags", {"clipped": 1}), 3, 3, id="flags_object"),
+    _case("khn", 1, _field("flags", ["bogus"]), 3, 3, id="flags_unknown_name"),
+    _case("khn", 1, _field("flags", ["clipped", "clipped"]), 3, 3, id="flags_repeated"),
+    _case("khn", 1, _field("prov", 5), 3, 3, id="prov_not_string"),
     # a task weight is a float; True would equal the records' weight 1.0
-    pytest.param("sp", 0, lambda h: {**h, "alpha": {"sp": True}}, 3, 3, id="header_alpha_bool"),
+    _case("sp", 0, lambda h: {**h, "alpha": {"sp": True}}, 3, 3, id="header_alpha_bool"),
+    # the header's config_hash is its config's hash, and uniform_weights
+    # is whether alpha is null
+    _case("khn", 0, _field("config_hash", "x"), 3, 3, id="header_config_hash_wrong"),
+    _case("khn", 0, _field("uniform_weights", False), 3, 3, id="header_uniform_weights_wrong"),
+    # a khn or lcc record's radius lies in [1, hops]: record 1 of centre 0
+    # is its 2-ball
+    _case("khn", 0, _rehashed(_header("config", "hops", 1)), 3, 3, id="header_hops_one_rehashed",
+          named="record 1: provenance 'c00000000:h2' has no radius in [1, 1]"),
 ]
 
 
-@pytest.mark.parametrize("task,line,mutate,verify_rc,mix_rc", MALFORMED)
+@pytest.mark.parametrize("task,line,mutate,verify_rc,mix_rc,named", MALFORMED)
 def test_malformed_record_exits_with_one_line(
-    ingested, tmp_path, capsys, task, line, mutate, verify_rc, mix_rc
+    ingested, tmp_path, capsys, task, line, mutate, verify_rc, mix_rc, named
 ):
     out = tmp_path / "c"
     assert main(["generate", task, "--data", str(ingested), "--out", str(out),
@@ -601,7 +638,9 @@ def test_malformed_record_exits_with_one_line(
             assert err == [], argv
             continue
         assert len(err) == 1, (argv, err)
-        if rc == 2:
+        if named is not None:
+            assert f"{path}: {named}" in err[0]
+        elif rc == 2:
             assert f"{path}:{line + 1}:" in err[0]
         elif line == 0:
             assert f"{path}: malformed header: " in err[0]
@@ -637,7 +676,7 @@ def test_weighted_lcc_above_one_passes_verify(ingested, tmp_path):
     assert main(["verify", str(path)]) == 0
     # the same records under the unweighted bound break the contract
     lines = path.read_text().splitlines()
-    lines[0] = json.dumps(_header("config", "lcc_weighted", False)(json.loads(lines[0])))
+    lines[0] = json.dumps(_rehashed(_header("config", "lcc_weighted", False))(json.loads(lines[0])))
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(path)]) == 3
 
@@ -684,11 +723,12 @@ def _change_one_weight(tmp_path, ingested):
 
 
 def _reweight(path, alpha):
-    """Give the corpus at ``path`` the task weights ``alpha``, in its header
-    and on each of its records."""
+    """Give the corpus at ``path`` the task weights ``alpha``, in its header,
+    as a mixture's, and on each of its records."""
     header, *lines = (json.loads(line) for line in path.read_text().splitlines())
     lines = [{**r, "weight": alpha[r["task"]]} for r in lines]
-    path.write_text("".join(json.dumps(d) + "\n" for d in [{**header, "alpha": alpha}, *lines]))
+    header = {**header, "alpha": alpha, "uniform_weights": False}
+    path.write_text("".join(json.dumps(d) + "\n" for d in [header, *lines]))
 
 
 def _alpha_of_a_task_without_records(tmp_path, ingested):

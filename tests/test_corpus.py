@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from contextlib import closing
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,15 +14,17 @@ from kgsignals import corpus as corpus_mod
 from kgsignals.adjacency import AdjacencyMatrix
 from kgsignals.corpus import WorkerPool, _flatten_tokens, _khn_lcc_input, generate_task_records
 from kgsignals.graph import Fact, build_index
-from kgsignals.ingest import SPECIAL_TOKENS, TASK_TOKENS, Vocabulary
+from kgsignals.ingest import SPECIAL_TOKENS, TASK_TOKENS
 from kgsignals.records import (
     EmptyCorpusError,
     CorpusFormatError,
     CorpusInvariantError,
+    TASKS,
     GenerationConfig,
     TaskRecord,
     WrittenCorpus,
     check_and_serialize,
+    check_totals,
     corpus_header,
     mix_multitask,
     mixture_lines,
@@ -35,13 +38,22 @@ from kgsignals.records import (
 from oracles import flatten_cells, random_graph
 
 
-def make_vocab(n_ent, n_rel):
-    v = Vocabulary()
-    for i in range(n_ent):
-        v.entity_id(f"e{i}")
-    for i in range(n_rel):
-        v.relation_id(f"r{i}")
-    return v
+# the token ids of a graph: the specials, then its entities, then its
+# relations, then the cell values of IVA matrices
+def special(name):
+    return SPECIAL_TOKENS.index(name)
+
+
+def entity_token(e):
+    return len(SPECIAL_TOKENS) + e
+
+
+def relation_token(g, r):
+    return len(SPECIAL_TOKENS) + g.num_entities + r
+
+
+def value_base(g):
+    return len(SPECIAL_TOKENS) + g.num_entities + g.num_relations
 
 
 def chain_graph():
@@ -52,56 +64,51 @@ def chain_graph():
 class TestGenerateSp:
     def test_chain_record(self):
         g = chain_graph()
-        v = make_vocab(3, 3)
         cfg = GenerationConfig(seed=0)
-        recs = generate_task_records(g, v, "sp", cfg).records
+        recs = generate_task_records(WorkerPool(g, cfg), "sp").records
         by_prov = {r.provenance: r for r in recs}
         # fact 2 = r2(e0, e2), mask position 0, partner e2: the query fact
         # is excluded so the only shortest path is r0 then r1
         rec = by_prov["f00000002:m00:p01:x0000"]
         assert rec.input_tokens == [
-            v.special_token(TASK_TOKENS["sp"]),
-            v.entity_token(0),
-            v.relation_token(2),
-            v.entity_token(2),
+            special(TASK_TOKENS["sp"]),
+            entity_token(0),
+            relation_token(g, 2),
+            entity_token(2),
         ]
         assert rec.target_kind == "tokens"
-        assert rec.target == [v.relation_token(0), v.relation_token(1), v.special_token("[EOS]")]
+        assert rec.target == [relation_token(g, 0), relation_token(g, 1), special("[EOS]")]
 
     def test_disconnected_gives_no_path(self):
         g = build_index([Fact(0, (0, 1)), Fact(1, (2, 3))], 4, 2)
-        v = make_vocab(4, 2)
-        recs = generate_task_records(g, v, "sp", GenerationConfig(seed=0)).records
+        recs = generate_task_records(WorkerPool(g, GenerationConfig(seed=0)), "sp").records
         # excluding each queried fact leaves its endpoints disconnected
         assert recs
         for r in recs:
-            assert r.target == [v.special_token("[NO_PATH]")]
+            assert r.target == [special("[NO_PATH]")]
 
     def test_input_starts_with_task_token(self):
         g = chain_graph()
-        v = make_vocab(3, 3)
         for task in ("sp", "ip"):
-            for r in generate_task_records(g, v, task, GenerationConfig(seed=1)).records:
-                assert r.input_tokens[0] == v.special_token(TASK_TOKENS[task])
+            for r in generate_task_records(WorkerPool(g, GenerationConfig(seed=1)), task).records:
+                assert r.input_tokens[0] == special(TASK_TOKENS[task])
 
 
 class TestGenerateKhn:
     def test_hop1_symmetric_half(self):
         g = build_index([Fact(0, (1, 0)), Fact(0, (1, 2))], 3, 1)
-        v = make_vocab(3, 1)
-        recs = generate_task_records(g, v, "khn", GenerationConfig(seed=0, hops=1)).records
+        recs = generate_task_records(WorkerPool(g, GenerationConfig(seed=0, hops=1)), "khn").records
         rec = {r.provenance: r for r in recs}["c00000001:h1"]
-        assert rec.target == [(v.entity_token(0), 0.5), (v.entity_token(2), 0.5)]
+        assert rec.target == [(entity_token(0), 0.5), (entity_token(2), 0.5)]
 
     def test_hop_inputs_list_previous_ball(self):
         rng = random.Random(0)
         facts, n_ent, n_rel = random_graph(rng, max_entities=15, max_relations=4, max_facts=30)
         g = build_index(facts, n_ent, n_rel)
-        v = make_vocab(n_ent, n_rel)
         cfg = GenerationConfig(seed=0, hops=3)
-        recs = generate_task_records(g, v, "khn", cfg).records
+        recs = generate_task_records(WorkerPool(g, cfg), "khn").records
         by_prov = {r.provenance: r for r in recs}
-        sep = v.special_token("[SEP]")
+        sep = special("[SEP]")
         for r in recs:
             center, h = r.provenance.split(":")
             h = int(h[1:])
@@ -117,8 +124,7 @@ class TestGenerateKhn:
         rng = random.Random(3)
         facts, n_ent, n_rel = random_graph(rng, max_entities=20, max_relations=4, max_facts=40)
         g = build_index(facts, n_ent, n_rel)
-        v = make_vocab(n_ent, n_rel)
-        for r in generate_task_records(g, v, "khn", GenerationConfig(seed=0)).records:
+        for r in generate_task_records(WorkerPool(g, GenerationConfig(seed=0)), "khn").records:
             assert abs(sum(p for _, p in r.target) - 1.0) < 1e-9
 
 
@@ -127,8 +133,7 @@ class TestGenerateLccIva:
         rng = random.Random(5)
         facts, n_ent, n_rel = random_graph(rng, max_entities=25, max_relations=4, max_facts=50)
         g = build_index(facts, n_ent, n_rel)
-        v = make_vocab(n_ent, n_rel)
-        recs = generate_task_records(g, v, "lcc", GenerationConfig(seed=0)).records
+        recs = generate_task_records(WorkerPool(g, GenerationConfig(seed=0)), "lcc").records
         assert recs
         for r in recs:
             assert r.target_kind == "scalar"
@@ -138,65 +143,62 @@ class TestGenerateLccIva:
         rng = random.Random(6)
         facts, n_ent, n_rel = random_graph(rng, max_entities=15, max_relations=3, max_facts=30)
         g = build_index(facts, n_ent, n_rel)
-        v = make_vocab(n_ent, n_rel)
-        recs = generate_task_records(g, v, "iva", GenerationConfig(seed=0)).records
+        recs = generate_task_records(WorkerPool(g, GenerationConfig(seed=0)), "iva").records
         assert recs
         labels = {r.target for r in recs}
         assert labels <= {0, 1}
         for r in recs:
-            assert r.input_tokens[0] == v.special_token("[IVA]")
+            assert r.input_tokens[0] == special("[IVA]")
 
     def test_iva_seed_changes_examples(self):
         rng = random.Random(6)
         facts, n_ent, n_rel = random_graph(rng, max_entities=15, max_relations=3, max_facts=30)
         g = build_index(facts, n_ent, n_rel)
-        v = make_vocab(n_ent, n_rel)
-        a = generate_task_records(g, v, "iva", GenerationConfig(seed=0)).records
-        b = generate_task_records(g, v, "iva", GenerationConfig(seed=0)).records
-        c = generate_task_records(g, v, "iva", GenerationConfig(seed=1)).records
+        a = generate_task_records(WorkerPool(g, GenerationConfig(seed=0)), "iva").records
+        b = generate_task_records(WorkerPool(g, GenerationConfig(seed=0)), "iva").records
+        c = generate_task_records(WorkerPool(g, GenerationConfig(seed=1)), "iva").records
         assert [r.to_json() for r in a] == [r.to_json() for r in b]
         assert [r.to_json() for r in a] != [r.to_json() for r in c]
 
 
 class TestFlattenTokens:
     @staticmethod
-    def per_cell(vocab, cfg, m):
+    def per_cell(g, cfg, m):
         """The tokens cell by cell from the loop oracle's layout."""
         n = len(m.entities)
         flat = flatten_cells(list(m.entities), m.values.tolist())
-        tokens = [vocab.entity_token(e) for e in flat[:n]]
-        tokens += [vocab.value_base + min(v, cfg.value_ceiling) for v in flat[n:]]
+        tokens = [entity_token(e) for e in flat[:n]]
+        tokens += [value_base(g) + min(v, cfg.value_ceiling) for v in flat[n:]]
         return tokens, any(v > cfg.value_ceiling for v in flat[n:])
 
     @pytest.mark.parametrize("n", [1, 2, 6])
     @pytest.mark.parametrize("ceiling", [0, 3, 64])
     def test_matches_per_cell_value_tokens(self, n, ceiling):
-        vocab = make_vocab(10, 3)
+        g = build_index([], 10, 3)
         cfg = GenerationConfig(seed=0, value_ceiling=ceiling)
         rng = np.random.default_rng(100 * n + ceiling)
         v = rng.integers(0, 6, size=(n, n))
         m = AdjacencyMatrix(tuple(rng.permutation(10)[:n].tolist()), np.triu(v) + np.triu(v, 1).T)
-        tokens, clamped = _flatten_tokens(vocab, cfg, m)
-        assert (tokens, clamped) == self.per_cell(vocab, cfg, m)
+        tokens, clamped = _flatten_tokens(g, cfg, m)
+        assert (tokens, clamped) == self.per_cell(g, cfg, m)
         assert type(clamped) is bool and all(type(t) is int for t in tokens)
 
     @pytest.mark.parametrize("value, clamped", [(3, False), (4, True)])
     def test_one_by_one_clamp_flag(self, value, clamped):
-        vocab = make_vocab(2, 1)
+        g = build_index([], 2, 1)
         m = AdjacencyMatrix((1,), np.array([[value]], dtype=np.int64))
-        got = _flatten_tokens(vocab, GenerationConfig(seed=0, value_ceiling=3), m)
-        assert got == ([vocab.entity_token(1), vocab.value_base + 3], clamped)
+        got = _flatten_tokens(g, GenerationConfig(seed=0, value_ceiling=3), m)
+        assert got == ([entity_token(1), value_base(g) + 3], clamped)
 
 
 class TestClipping:
     def test_inputs_clipped_to_max_len(self):
         facts = [Fact(0, (0, i)) for i in range(1, 60)]
         g = build_index(facts, 60, 1)
-        v = make_vocab(60, 1)
         # path inputs are four tokens: [SP|IP] e_i r e_j
         for task, max_len in (("khn", 16), ("lcc", 16), ("iva", 16), ("sp", 3), ("ip", 3)):
             cfg = GenerationConfig(seed=0, hops=2, max_len=max_len)
-            recs = generate_task_records(g, v, task, cfg).records
+            recs = generate_task_records(WorkerPool(g, cfg), task).records
             assert recs
             clipped = [r for r in recs if len(r.input_tokens) == max_len]
             assert clipped
@@ -212,13 +214,12 @@ class TestKhnLccInput:
     @pytest.mark.parametrize("size", [0, 5, 13, 14, 40])
     @pytest.mark.parametrize("task", ["khn", "lcc"])
     def test_matches_per_entity_tokens(self, task, size):
-        v = make_vocab(60, 2)
         cfg = GenerationConfig(seed=0, max_len=16)
         ball = np.sort(np.random.default_rng(size).choice(np.arange(1, 60), size, replace=False))
         ball.flags.writeable = False  # as NeighborhoodIndex.ball returns it
-        want = [v.special_token(TASK_TOKENS[task]), v.entity_token(0), v.special_token("[SEP]")]
-        want += [v.entity_token(int(e)) for e in ball]
-        tokens, clipped = _khn_lcc_input(v, cfg, task, 0, ball)
+        want = [special(TASK_TOKENS[task]), entity_token(0), special("[SEP]")]
+        want += [entity_token(int(e)) for e in ball]
+        tokens, clipped = _khn_lcc_input(cfg, task, 0, ball)
         assert tokens == want[: cfg.max_len]
         assert clipped == (len(want) > cfg.max_len)
         assert all(type(t) is int for t in tokens)
@@ -289,22 +290,22 @@ class TestStreamedWriter:
     record at that weight."""
 
     def records(self):
-        v = make_vocab(6, 4)
-        sp, khn, iva, lcc = (v.special_token(TASK_TOKENS[t]) for t in ("sp", "khn", "iva", "lcc"))
-        e, r = v.entity_token, v.relation_token
-        no_path, eos = v.special_token("[NO_PATH]"), v.special_token("[EOS]")
-        return v, {
+        g = build_index([], 6, 4)
+        sp, khn, iva, lcc = (special(TASK_TOKENS[t]) for t in ("sp", "khn", "iva", "lcc"))
+        e, r = entity_token, partial(relation_token, g)
+        no_path, eos = special("[NO_PATH]"), special("[EOS]")
+        return {
             "sp": [
                 TaskRecord("sp", [sp, e(0), r(1)], "tokens", [r(3), r(0), eos], "f00000001:m00:p01:x0000",
                            flags=("clipped",)),
                 TaskRecord("sp", [sp, e(0), r(1), e(2)], "tokens", [no_path], "f00000000:m01:p00:x0000"),
             ],
             "khn": [
-                TaskRecord("khn", [khn, e(1), v.special_token("[SEP]")], "dist",
+                TaskRecord("khn", [khn, e(1), special("[SEP]")], "dist",
                            [(e(2), 0.1), (e(3), 0.2), (e(5), 0.7)], "c00000001:h1"),
             ],
             "iva": [
-                TaskRecord("iva", [iva, e(1), v.value_base + 64], "label", 1, "c00000001:identity",
+                TaskRecord("iva", [iva, e(1), value_base(g) + 64], "label", 1, "c00000001:identity",
                            flags=("clamped", "clipped")),
                 TaskRecord("iva", [iva, e(2)], "label", 0, "c00000002:value_resample", flags=("clamped",)),
             ],
@@ -312,9 +313,10 @@ class TestStreamedWriter:
         }
 
     def test_lines_equal_to_json_at_their_weight(self, tmp_path):
-        v, lists = self.records()
+        lists = self.records()
+        cfg = GenerationConfig(seed=0, max_len=4)
         meta = {"vocab_sizes": {"specials": len(SPECIAL_TOKENS), "entities": 6, "relations": 4},
-                "config": GenerationConfig(seed=0, max_len=4).as_dict()}
+                "config": cfg.as_dict(), "config_hash": cfg.hash()}
         written = {}
         for task, recs in lists.items():
             bounds = record_bounds("x", meta)
@@ -344,13 +346,22 @@ class TestStreamedWriter:
         assert list(offsets) == [h, h + 2, h + 6, h + 7] and h + 7 == len(data)
 
     def test_breaking_record_is_named_by_provenance(self):
-        _, lists = self.records()
+        lists = self.records()
+        cfg = GenerationConfig(seed=0)
         meta = {"vocab_sizes": {"specials": len(SPECIAL_TOKENS), "entities": 6, "relations": 3},
-                "config": GenerationConfig(seed=0).as_dict()}
+                "config": cfg.as_dict(), "config_hash": cfg.hash()}
         # relation token 3 is out of range with three relations
         with pytest.raises(CorpusInvariantError,
                            match=r"^x: record f00000001:m00:p01:x0000: token \d+ is not a relation token$"):
             check_and_serialize("x", record_bounds("x", meta), lists["sp"])
+
+
+@pytest.mark.parametrize("alpha, uniform", [(None, False), (None, None), ({"sp": 1.0}, True), ({"sp": 1.0}, 1)])
+def test_uniform_weights_is_whether_alpha_is_null(alpha, uniform):
+    header = {"counts": {"sp": 2}, "alpha": alpha, "uniform_weights": uniform}
+    with pytest.raises(CorpusInvariantError, match=r"^x: malformed header: uniform_weights "):
+        check_totals("x", header, {"sp": 2})
+    check_totals("x", {**header, "uniform_weights": alpha is None}, {"sp": 2})
 
 
 class TestSerialization:
@@ -428,44 +439,40 @@ class TestWorkers:
         facts = [Fact(rng.randrange(n_rel), (e, (e + 1) % 80)) for e in range(80)]
         facts += [Fact(rng.randrange(n_rel), tuple(rng.randrange(80) for _ in range(rng.randint(2, 4))))
                   for _ in range(30)]
-        return build_index(facts, n_ent, n_rel), make_vocab(n_ent, n_rel), GenerationConfig(seed=4, hops=2)
+        return build_index(facts, n_ent, n_rel), GenerationConfig(seed=4, hops=2)
 
     @pytest.mark.parametrize("task", ["sp", "ip", "khn", "lcc", "iva"])
     def test_worker_count_does_not_change_output(self, task, pools_made):
-        g, v, cfg = self.run()
-        base = generate_task_records(g, v, task, cfg, workers=1)
+        g, cfg = self.run()
+        base = generate_task_records(WorkerPool(g, cfg), task)
         assert pools_made == []
-        multi = generate_task_records(g, v, task, cfg, workers=3)
+        with closing(WorkerPool(g, cfg, 3)) as run:
+            multi = generate_task_records(run, task)
         assert len(pools_made) == 1
         assert multiprocessing.active_children() == []
         assert [r.to_json() for r in base.records] == [r.to_json() for r in multi.records]
         assert base.skipped == multi.skipped == (2 if task in ("khn", "lcc", "iva") else 0)
 
-    def test_pool_of_another_run_is_refused(self, pools_made):
-        g, v, cfg = self.run()
-        other = build_index(list(g.facts), g.num_entities, g.num_relations)
-        with closing(WorkerPool(other, v, cfg)) as pool:
-            with pytest.raises(ValueError, match="another graph"):
-                generate_task_records(g, v, "sp", cfg, workers=3, pool=pool)
-        assert pools_made == []
-
-    def test_one_pool_serves_tasks_at_any_worker_count(self, pools_made):
-        g, v, cfg = self.run()
-        asked = (("sp", 3), ("khn", 2))
-        base = {task: generate_task_records(g, v, task, cfg, workers=1).records for task, _ in asked}
-        with closing(WorkerPool(g, v, cfg)) as pool:
-            multi = {
-                task: generate_task_records(g, v, task, cfg, workers=workers, pool=pool).records
-                for task, workers in asked
-            }
+    def test_one_pool_serves_every_task_of_a_run(self, pools_made):
+        g, cfg = self.run()
+        base = {task: generate_task_records(WorkerPool(g, cfg), task).records for task in TASKS}
+        with closing(WorkerPool(g, cfg, 3)) as run:
+            multi = {task: generate_task_records(run, task).records for task in TASKS}
         assert len(pools_made) == 1
         assert multiprocessing.active_children() == []
-        for task, _ in asked:
+        for task in TASKS:
             assert [r.to_json() for r in multi[task]] == [r.to_json() for r in base[task]]
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_a_run_has_at_least_one_worker(self, workers, pools_made):
+        g, cfg = self.run()
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            WorkerPool(g, cfg, workers)
+        assert pools_made == []
 
     def test_task_state_is_built_once_per_task(self, monkeypatch):
         # at one worker each task runs in four chunks
-        g, v, cfg = self.run()
+        g, cfg = self.run()
         calls = []
 
         def count(name):
@@ -479,10 +486,10 @@ class TestWorkers:
 
         count("NeighborhoodIndex")
         count("information_gain_paths")
-        generate_task_records(g, v, "khn", cfg, workers=1)
+        generate_task_records(WorkerPool(g, cfg), "khn")
         assert calls == ["NeighborhoodIndex"]
         calls.clear()
-        generate_task_records(g, v, "ip", cfg, workers=1)
+        generate_task_records(WorkerPool(g, cfg), "ip")
         assert calls == ["information_gain_paths"] * g.num_relations
 
 
@@ -497,7 +504,8 @@ def test_centres_without_a_neighbour_are_skipped(task, workers):
     g = build_index(facts, 90, 3)
     lonely = set(range(90)) - {e for f in facts if len(set(f.entities)) > 1 for e in f.entities}
     assert {4, 5} <= lonely
-    result = generate_task_records(g, make_vocab(90, 3), task, GenerationConfig(seed=2, hops=2), workers=workers)
+    with closing(WorkerPool(g, GenerationConfig(seed=2, hops=2), workers)) as run:
+        result = generate_task_records(run, task)
     assert result.skipped == len(lonely)
     centers = {int(r.provenance.split(":")[0][1:]) for r in result.records}
     assert centers == set(range(90)) - lonely
@@ -506,8 +514,7 @@ def test_centres_without_a_neighbour_are_skipped(task, workers):
 def test_path_items_cover_every_ordered_position_pair():
     # fact 1 duplicates fact 0; fact 2 has arity 3
     g = build_index([Fact(0, (0, 1)), Fact(0, (0, 1)), Fact(1, (0, 1, 2))], 3, 2)
-    v = make_vocab(3, 2)
-    recs = generate_task_records(g, v, "sp", GenerationConfig(seed=0)).records
+    recs = generate_task_records(WorkerPool(g, GenerationConfig(seed=0)), "sp").records
     items = {r.provenance.rsplit(":", 1)[0] for r in recs}
     assert items == {
         f"f{i:08d}:m{m:02d}:p{p:02d}"
@@ -520,15 +527,15 @@ def test_path_items_cover_every_ordered_position_pair():
         i, m, p = (int(x[1:]) for x in r.provenance.split(":")[:3])
         f = g.facts[i]
         assert r.input_tokens == [
-            v.special_token("[SP]"), v.entity_token(f.entities[m]),
-            v.relation_token(f.relation), v.entity_token(f.entities[p]),
+            special("[SP]"), entity_token(f.entities[m]),
+            relation_token(g, f.relation), entity_token(f.entities[p]),
         ]
 
     def targets(i, m, p):
         prefix = f"f{i:08d}:m{m:02d}:p{p:02d}:"
         return sorted(r.target for r in recs if r.provenance.startswith(prefix))
 
-    r0, r1, eos = v.relation_token(0), v.relation_token(1), v.special_token("[EOS]")
+    r0, r1, eos = relation_token(g, 0), relation_token(g, 1), special("[EOS]")
     # each copy of the duplicate excludes only itself: the other copy
     # still joins 0 and 1 in one hop, as does the arity-3 fact
     for i in (0, 1):

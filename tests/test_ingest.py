@@ -99,15 +99,19 @@ def test_vocab_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_token_id_layout():
+def test_token_id_layout(tmp_path):
+    # the specials, then the entities, then the relations, each by id
     v = Vocabulary()
-    v.entity_id("a")
-    v.entity_id("b")
     v.relation_id("r")
-    ns = v.num_specials
-    assert v.entity_token(0) == ns
-    assert v.relation_token(0) == ns + 2
-    assert v.value_base == ns + 3
+    v.entity_id("b")
+    v.entity_id("a")
+    path = tmp_path / "vocab.tsv"
+    v.save(path)
+    ns = len(SPECIAL_TOKENS)
+    rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+    assert rows == [[tok, str(i)] for i, tok in enumerate(SPECIAL_TOKENS)] + [
+        ["b", str(ns)], ["a", str(ns + 1)], ["r", str(ns + 2)]
+    ]
 
 
 def test_reemit_triples_round_trip(tmp_path):
