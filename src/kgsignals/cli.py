@@ -47,7 +47,6 @@ from functools import partial
 from pathlib import Path
 
 from .records import (
-    CorpusFormatError,
     CorpusInvariantError,
     EmptyCorpusError,
     GenerationConfig,
@@ -72,6 +71,7 @@ from .ingest import (
     Vocabulary,
     compute_stats,
     parse_hypergraph,
+    parse_json,
     parse_triples,
     read_lines,
 )
@@ -220,9 +220,8 @@ def _load_config(args) -> GenerationConfig:
     file_cfg: dict = {}
     if args.config:
         try:
-            file_cfg = json.loads(Path(args.config).read_bytes())
-        except (OSError, ValueError) as exc:
-            # ValueError: not JSON, or not UTF-8
+            file_cfg = parse_json(Path(args.config).read_bytes(), args.config)
+        except OSError as exc:
             raise ParseError(f"{args.config}: {exc}") from exc
     names = [f.name for f in fields(GenerationConfig)]
     if not isinstance(file_cfg, dict):
@@ -386,7 +385,7 @@ def cmd_mix(args) -> int:
             # the mixture's one header must describe every record; token
             # ids of different vocabularies mean different things
             diff = sorted((own.keys() ^ shared.keys()) | {k for k in own.keys() & shared.keys() if own[k] != shared[k]})
-            raise CorpusFormatError(
+            raise ParseError(
                 f"{path}:1: header differs from that of {first} in {diff}; "
                 "corpora of different vocabularies or configs cannot be mixed"
             )
@@ -434,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, CorpusFormatError, GraphError, OSError) as exc:
+    except (ParseError, GraphError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except CorpusInvariantError as exc:

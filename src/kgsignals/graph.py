@@ -204,14 +204,14 @@ class KnowledgeGraph:
             }
         return nb
 
-    def incident_relations(self, r: int, exclude: frozenset[int] = frozenset()) -> frozenset[int]:
-        """Relations r' != r with E(r') intersecting E(r), minus ``exclude``."""
+    def incident_relations(self, r: int) -> frozenset[int]:
+        """Relations r' != r with E(r') intersecting E(r)."""
         self._check_relation(r)
         out: set[int] = set()
         for e in self._entities_of_relation[r]:
             out.update(self._relations_of_entity[e])
         out.discard(r)
-        return frozenset(out - exclude)
+        return frozenset(out)
 
 
 def build_index(facts: Sequence[Fact], num_entities: int, num_relations: int) -> KnowledgeGraph:

@@ -8,6 +8,9 @@ Two input conventions are supported:
 Every input file is UTF-8 and is read by :func:`read_lines`: a line
 ends at LF, CRLF or CR, empty lines are skipped, and a byte that is not
 UTF-8 raises :class:`ParseError` naming the file and line (exit 2).
+Every JSON input, a corpus line or a ``--config`` file, is decoded by
+:func:`parse_json`, so any text that ``json`` cannot decode is a
+:class:`ParseError` too.
 Surface strings are kept verbatim (no normalization); all math
 downstream runs on dense integer ids. Parsing and statistics run in
 plain Python, so ``ingest`` and ``stats`` never load numpy.
@@ -16,6 +19,7 @@ plain Python, so ``ingest`` and ``stats`` never load numpy.
 from __future__ import annotations
 
 import hashlib
+import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -42,7 +46,8 @@ TASK_TOKENS = {"sp": "[SP]", "ip": "[IP]", "khn": "[KHN]", "iva": "[IVA]", "lcc"
 
 
 class ParseError(Exception):
-    """Malformed input line; message carries file and line number."""
+    """Malformed input file, a corpus included; the message names the
+    file and, where the file has lines, the line."""
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -62,6 +67,16 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 except UnicodeEncodeError as exc:
                     raise ParseError(f"{path}:{ln}: not UTF-8 at column {exc.start + 1}") from None
             yield ln, line
+
+
+def parse_json(text: str | bytes, where: str) -> object:
+    """The JSON value of ``text``. Text that is not JSON or not UTF-8,
+    nested too deeply to decode or holding an integer past Python's
+    digit limit raises :class:`ParseError`: ``<where>: <reason>``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 @dataclass

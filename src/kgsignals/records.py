@@ -37,7 +37,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence, Sized
 from dataclasses import dataclass, fields, asdict
 from pathlib import Path
 
-from .ingest import SPECIAL_TOKENS, TASK_TOKENS, read_lines
+from .ingest import SPECIAL_TOKENS, TASK_TOKENS, ParseError, parse_json, read_lines
 
 FORMAT_NAME = "kgsignals-corpus"
 FORMAT_VERSION = 1
@@ -50,10 +50,6 @@ _FIRST_ENTITY = len(SPECIAL_TOKENS)  # entity tokens follow the special tokens
 
 class EmptyCorpusError(Exception):
     """Every per-task record list was empty; nothing to mix."""
-
-
-class CorpusFormatError(Exception):
-    """Malformed corpus file; message carries the line number."""
 
 
 class CorpusInvariantError(Exception):
@@ -129,23 +125,27 @@ class TaskRecord:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "TaskRecord":
-        """The record of a corpus line, its fields unjudged: only a line that is not JSON,
-        a record or target that is not an object, or a missing key raises."""
-        d = json.loads(line)
-        kind, target, tokens = d["target"]["kind"], d["target"]["value"], d["input"]
-        # exact-size copies: a list that json built holds spare capacity
-        if type(target) is list:
-            target = [tuple(p) if type(p) is list else p for p in target] if kind == "dist" else list(target)
-        return cls(
-            task=d["task"],
-            input_tokens=list(tokens) if type(tokens) is list else tokens,
-            target_kind=kind,
-            target=target,
-            provenance=d["prov"],
-            weight=d["weight"],
-            flags=d["flags"],
-        )
+    def from_json(cls, line: str, where: str = "record") -> "TaskRecord":
+        """The record of a corpus line, its fields unjudged. Only a line
+        that :func:`parse_json` refuses, a record or target that is not an
+        object, or a missing key raises :class:`ParseError`: ``<where>: ...``."""
+        d = parse_json(line, where)
+        try:
+            kind, target, tokens = d["target"]["kind"], d["target"]["value"], d["input"]
+            # exact-size copies: a list that json built holds spare capacity
+            if type(target) is list:
+                target = [tuple(p) if type(p) is list else p for p in target] if kind == "dist" else list(target)
+            return cls(
+                task=d["task"],
+                input_tokens=list(tokens) if type(tokens) is list else tokens,
+                target_kind=kind,
+                target=target,
+                provenance=d["prov"],
+                weight=d["weight"],
+                flags=d["flags"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{where}: {exc}") from exc
 
 
 def mix_multitask(task_lists: Mapping[str, Sized], seed: int) -> tuple[list[tuple[str, int]], dict[str, float]]:
@@ -377,7 +377,7 @@ def check_record(path: str | Path, label: object, bounds: RecordBounds, r: TaskR
     or 1. A scalar is an int or float, not a bool, and lies in [0, 1],
     or is finite and >= 0 when ``config.lcc_weighted``. A corpus of
     another format version never gets here: :func:`read_corpus` refuses
-    it as a format error.
+    it as a data error.
     """
     try:
         problem = _record_problem(bounds, r)
@@ -439,27 +439,18 @@ def check_corpus(path: str | Path, header: dict, records: list[TaskRecord]) -> N
 
 
 def read_corpus(path: str | Path) -> tuple[dict, list[TaskRecord]]:
-    """The header and records of a corpus file, read line by line. A
-    header of another format or format version is a format error."""
+    """The header and records of a corpus file, read line by line. A line
+    that is not a JSON header or record, or a header of another format or
+    format version, raises :class:`ParseError` naming the file and line."""
     lines = read_lines(path)
     ln, first = next(lines, (0, ""))
     if ln != 1:
-        raise CorpusFormatError(f"{path}: empty file" if ln == 0 else f"{path}:1: bad header: empty line")
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"{path}:1: bad header: {exc}") from exc
+        raise ParseError(f"{path}: empty file" if ln == 0 else f"{path}:1: bad header: empty line")
+    header = parse_json(first, f"{path}:1: bad header")
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise CorpusFormatError(f"{path}:1: not a {FORMAT_NAME} file")
+        raise ParseError(f"{path}:1: not a {FORMAT_NAME} file")
     version = header.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
-        raise CorpusFormatError(f"{path}:1: format version {version!r}, expected {FORMAT_VERSION}")
-    records: list[TaskRecord] = []
-    for ln, line in lines:
-        try:
-            records.append(TaskRecord.from_json(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            # not JSON, a missing key, or a record or target that is not
-            # an object (JSONDecodeError is a ValueError)
-            raise CorpusFormatError(f"{path}:{ln}: bad record: {exc}") from exc
+        raise ParseError(f"{path}:1: format version {version!r}, expected {FORMAT_VERSION}")
+    records = [TaskRecord.from_json(line, f"{path}:{ln}: bad record") for ln, line in lines]
     return header, records

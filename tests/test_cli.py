@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -179,32 +180,11 @@ def test_output_does_not_depend_on_the_string_hash_seed(tmp_path):
 
 
 def test_readme_library_block_runs():
-    # the README's import list names only what the package exports
+    # the README's imports name each library name's own module
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     code = library.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
-
-
-# every name the package re-exports, each loaded from its module on first use
-PACKAGE_EXPORTS = [
-    "Fact", "KnowledgeGraph", "build_index",
-    "Vocabulary", "parse_hypergraph", "parse_triples",
-    "CandidateTrie", "conditional_entropy", "ground_paths", "information_gain_paths", "relation_entropy",
-    "shortest_relational_paths",
-    "NeighborhoodIndex", "khop_entities",
-    "AdjacencyMatrix", "IvaExample", "make_iva_example", "relationless_adjacency",
-    "GenerationConfig", "TaskRecord", "WorkerPool", "generate_task_records", "mix_multitask", "read_corpus",
-    "write_corpus",
-    "__version__",
-]
-
-
-@pytest.mark.parametrize("name", PACKAGE_EXPORTS)
-def test_package_re_exports_name(name):
-    namespace = {}
-    exec(f"from kgsignals import {name}", namespace)
-    assert namespace[name] is getattr(kgsignals, name)
 
 
 @pytest.fixture
@@ -264,6 +244,31 @@ def test_same_seed_byte_identical(ingested, tmp_path):
         outs.append(out)
     for f in ("sp.jsonl", "ip.jsonl", "khn.jsonl", "iva.jsonl", "lcc.jsonl", "all.jsonl"):
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+
+
+# SHA-256 of each file that `generate all --seed 1 --workers 1` writes
+# from a 5-fact hypergraph of arity 2 and 3, in which every task has
+# records. The corpus bytes are part of the format: a change that means
+# to change them, such as a fix to Vocabulary.hash, re-pins these values
+# and says so in CHANGES.md.
+PINNED_HYPERGRAPH = "r\ta\tb\tc\nr\tb\tc\nq\tc\td\nq\td\ta\ns\ta\tc\n"
+PINNED_SHA256 = {
+    "all.jsonl": "11a7522ab48825fad11bfdb112b2f82170ba79dd7384c2f9dc7569cb6467df46",
+    "ip.jsonl": "8a7b9dd0051ac7b20556f0eeff04a140aeb5694c7b95458b7a5d86c6c71eb0e5",
+    "iva.jsonl": "73a31dd555a0f0e67de482f28c1ae45c32a1dae6e69e7a8902027a63adc45b82",
+    "khn.jsonl": "15e8f2195d3958bc0075580e3928192bb23d0ac55c7e96fe665de6c33bb6cbf1",
+    "lcc.jsonl": "cb932763c9d1c65f7e58a638e641abfbf6ce3f75d114a0c683a7e863539208c3",
+    "mixplan.json": "f7911c26dd3cc0d842e6ac2ab451617b37279f9db10b1fef40cf03f0d2b6e463",
+    "sp.jsonl": "2064cc576c8dae09423505b9109ecbd4ba0873ddefcb9944554e81b0a21b6116",
+}
+
+
+def test_corpus_bytes_are_pinned(tmp_path):
+    train, data, out = tmp_path / "h.tsv", tmp_path / "d", tmp_path / "o"
+    train.write_text(PINNED_HYPERGRAPH)
+    assert main(["ingest", "--train", str(train), "--kind", "hypergraph", "--out", str(data)]) == 0
+    assert main(["generate", "all", "--data", str(data), "--out", str(out), "--seed", "1", "--workers", "1"]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == PINNED_SHA256
 
 
 def test_usage_errors_exit_1(dataset, ingested, tmp_path, capsys):
@@ -329,16 +334,18 @@ def test_data_errors_exit_2(ingested, tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"data error: {vocab}:{line + 1}:"), (text, err)
         assert list(out.glob("*.jsonl")) == [], text
-    # a config file that is not UTF-8
+    # a config file that is not UTF-8, and one nested too deeply for json
+    # to decode
     cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(b'{"seed": 1, "hops": \xff}')
     out = tmp_path / "bad_config"
-    capsys.readouterr()
-    assert main(["generate", "all", "--data", str(ingested), "--out", str(out),
-                 "--config", str(cfg), "--workers", "1"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"data error: {cfg}: "), err
-    assert not out.exists()
+    for content in (b'{"seed": 1, "hops": \xff}', b"[" * 100_000):
+        cfg.write_bytes(content)
+        capsys.readouterr()
+        assert main(["generate", "all", "--data", str(ingested), "--out", str(out),
+                     "--config", str(cfg), "--workers", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {cfg}: "), err
+        assert not out.exists()
 
 
 # (command, file given a line 2 that is not UTF-8): every input file is
@@ -529,6 +536,12 @@ def _input(i, token):
     return lambda r: {**r, "input": r["input"][:i] + [token] + r["input"][i + 1:]}
 
 
+def _raw(key, text):
+    """A mutation that sets ``key`` to the raw JSON ``text``, a value that
+    json.dumps cannot write."""
+    return lambda d: json.dumps({**d, key: None}).replace(f'"{key}": null', f'"{key}": {text}', 1)
+
+
 def _rehashed(mutate):
     """``mutate``, then the header's config_hash made its new config's."""
     def rehash(h):
@@ -545,13 +558,21 @@ def _case(task, line, mutate, verify_rc, mix_rc, id, named=None):
 
 
 # (corpus file, line mutated, mutation, verify exit code, mix exit code).
-# A line that is not JSON, a record that is not an object or lacks a key
-# is a data error when read. A header or record that reads but breaks
-# the record contract, a field of the wrong shape included, is an
-# invariant violation: verify finds it, and mix refuses to write the
-# mixture. Both name the corpus that holds it.
+# A mutation returns the line's new JSON value, or its new text as a
+# string. A line that is not JSON, that json cannot decode, or a record
+# that is not an object or lacks a key is a data error when read. A
+# header or record that reads but breaks the record contract, a field of
+# the wrong shape included, is an invariant violation: verify finds it,
+# and mix refuses to write the mixture. Both name the corpus that holds
+# it.
 MALFORMED = [
     _case("khn", 1, lambda r: [1, 2], 2, 2, id="record_not_object"),
+    # nested past the recursion limit, or an integer past Python's digit
+    # limit: json raises RecursionError or ValueError, not JSONDecodeError
+    _case("khn", 1, lambda r: "[" * 100_000, 2, 2, id="record_nested_too_deeply"),
+    _case("khn", 0, lambda h: "[" * 100_000, 2, 2, id="header_nested_too_deeply"),
+    _case("khn", 1, _raw("target", "9" * 5000), 2, 2, id="record_int_past_digit_limit"),
+    _case("khn", 0, _raw("version", "9" * 5000), 2, 2, id="header_int_past_digit_limit"),
     _case("khn", 1, _target("dist", [1]), 3, 3, id="dist_target_not_pairs"),
     _case("khn", 1, _field("input", 5), 3, 3, id="input_not_list"),
     _case("sp", 1, _target("tokens", 5), 3, 3, id="token_target_not_list"),
@@ -626,7 +647,8 @@ def test_malformed_record_exits_with_one_line(
                  "--seed", "1", "--workers", "1"]) == 0
     path = out / f"{task}.jsonl"
     lines = path.read_text().splitlines()
-    lines[line] = json.dumps(mutate(json.loads(lines[line])))
+    mutated = mutate(json.loads(lines[line]))
+    lines[line] = mutated if isinstance(mutated, str) else json.dumps(mutated)
     path.write_text("\n".join(lines) + "\n")
     mixed = tmp_path / "mixed.jsonl"
     for argv, rc in ((["verify", str(path)], verify_rc),

@@ -14,10 +14,9 @@ from kgsignals import corpus as corpus_mod
 from kgsignals.adjacency import AdjacencyMatrix
 from kgsignals.corpus import WorkerPool, _flatten_tokens, _khn_lcc_input, generate_task_records
 from kgsignals.graph import Fact, build_index
-from kgsignals.ingest import SPECIAL_TOKENS, TASK_TOKENS
+from kgsignals.ingest import SPECIAL_TOKENS, TASK_TOKENS, ParseError
 from kgsignals.records import (
     EmptyCorpusError,
-    CorpusFormatError,
     CorpusInvariantError,
     TASKS,
     GenerationConfig,
@@ -387,7 +386,7 @@ class TestSerialization:
     def test_bad_header(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text('{"format":"something-else"}\n')
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(ParseError):
             read_corpus(p)
 
     def test_bad_record_line_number(self, tmp_path):
@@ -396,7 +395,7 @@ class TestSerialization:
         lines = p.read_text().splitlines()
         lines[2] = "{broken"
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError, match=":3:"):
+        with pytest.raises(ParseError, match=":3:"):
             read_corpus(p)
 
     @given(st.integers(0, 10_000))

@@ -76,7 +76,6 @@ def test_incident_relations_basic():
     facts = [Fact(0, (0, 1)), Fact(1, (1, 2)), Fact(2, (3, 4))]
     g = build_index(facts, num_entities=5, num_relations=3)
     assert g.incident_relations(0) == {1}
-    assert g.incident_relations(0, frozenset({1})) == frozenset()
     assert g.incident_relations(2) == frozenset()
 
 
